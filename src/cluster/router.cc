@@ -1,17 +1,8 @@
 #include "cluster/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <map>
+#include <set>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -28,21 +19,9 @@ using server::ErrorResponse;
 using server::HttpRequest;
 using server::HttpResponse;
 using server::JsonResponse;
+using server::RequestContext;
 
 using Clock = std::chrono::steady_clock;
-
-int64_t ElapsedMs(Clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                               since)
-      .count();
-}
-
-uint64_t ElapsedUs(Clock::time_point since) {
-  auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - since)
-                .count();
-  return us < 0 ? 0 : static_cast<uint64_t>(us);
-}
 
 /// Milliseconds left until `deadline` (0 when already past).
 int64_t RemainingMs(Clock::time_point deadline) {
@@ -52,22 +31,20 @@ int64_t RemainingMs(Clock::time_point deadline) {
   return ms < 0 ? 0 : ms;
 }
 
-bool WriteAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+/// The router's transport: its eight transport fields, with admission
+/// limits left at the HttpServer defaults (in-flight requests cannot
+/// outnumber the worker threads anyway).
+server::HttpServerOptions TransportOptions(const RouterOptions& options) {
+  server::HttpServerOptions transport;
+  transport.bind_address = options.bind_address;
+  transport.port = options.port;
+  transport.threads = options.threads;
+  transport.max_requests_per_connection = options.max_requests_per_connection;
+  transport.keep_alive_timeout_ms = options.keep_alive_timeout_ms;
+  transport.default_deadline_ms = options.default_deadline_ms;
+  transport.drain_deadline_ms = options.drain_deadline_ms;
+  transport.max_body_bytes = options.max_body_bytes;
+  return transport;
 }
 
 /// Reconstructs a Status from a backend error response so the router
@@ -184,8 +161,8 @@ constexpr int64_t kMaxServerK = 10000;
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
       pool_(options_.max_idle_per_endpoint == 0 ? 1
-                                                : options_.max_idle_per_endpoint) {
-  if (options_.threads <= 0) options_.threads = 8;
+                                                : options_.max_idle_per_endpoint),
+      http_(TransportOptions(options_)) {
   if (options_.fanout_threads <= 0) {
     options_.fanout_threads =
         std::max<int>(8, 2 * static_cast<int>(options_.backends.size()));
@@ -197,6 +174,7 @@ Router::Router(RouterOptions options)
   for (size_t i = 0; i < options_.backends.size(); ++i) {
     backends_.push_back(std::make_unique<BackendState>());
   }
+  RegisterRoutes();
 }
 
 Router::~Router() { (void)Stop(); }
@@ -207,9 +185,17 @@ std::shared_ptr<const ShardMap> Router::CurrentMap() const {
 }
 
 Status Router::Start() {
-  if (started_.load()) return Status::FailedPrecondition("already started");
+  if (heartbeat_thread_.joinable()) {
+    return Status::FailedPrecondition("already started");
+  }
   if (options_.backends.empty()) {
     return Status::InvalidArgument("router needs at least one backend");
+  }
+  if (options_.default_deadline_ms <= 0) {
+    // Scatter legs inherit the remaining budget; with none, every
+    // search would expire before its first leg.
+    return Status::InvalidArgument("default_deadline_ms must be > 0, got " +
+                                   std::to_string(options_.default_deadline_ms));
   }
   int max_shard = 0;
   for (const BackendSpec& b : options_.backends) {
@@ -236,46 +222,6 @@ Status Router::Start() {
     }
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status st = Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    Status st = Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
-
-  draining_.store(false);
-  start_time_ = Clock::now();
-  worker_pool_ = std::make_unique<ThreadPool>(options_.threads);
-  fanout_pool_ = std::make_unique<ThreadPool>(options_.fanout_threads);
-
   // Synchronous first poll: Start() returns with a live map, so a
   // request racing the first heartbeat tick never sees unknown health.
   PollBackendsOnce();
@@ -284,227 +230,64 @@ Status Router::Start() {
     PublishMapLocked();
   }
 
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  fanout_pool_ = std::make_unique<ThreadPool>(options_.fanout_threads);
+  Status started = http_.Start();
+  if (!started.ok()) {
+    fanout_pool_.reset();
+    return started;
+  }
+  {
+    std::lock_guard<std::mutex> lock(hb_mu_);
+    hb_stop_ = false;
+  }
   heartbeat_thread_ = std::thread([this] { HeartbeatLoop(); });
-  started_.store(true);
   return Status::OK();
 }
 
 Status Router::Stop() {
-  if (!started_.load()) return Status::OK();
-  draining_.store(true);
-
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
+  if (!heartbeat_thread_.joinable()) return Status::OK();
   {
     std::lock_guard<std::mutex> lock(hb_mu_);
-    hb_cv_.notify_all();
+    hb_stop_ = true;
   }
-  if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
-
-  auto deadline =
-      Clock::now() + std::chrono::milliseconds(options_.drain_deadline_ms);
-  {
-    std::unique_lock<std::mutex> lock(conns_mu_);
-    drain_cv_.wait_until(lock, deadline,
-                         [this] { return active_conns_.load() == 0; });
-  }
-  if (active_conns_.load() != 0) ForceCloseConnections();
-  worker_pool_.reset();
+  hb_cv_.notify_all();
+  // Drains in-flight requests, which still scatter on the fanout pool.
+  Status stopped = http_.Stop();
+  heartbeat_thread_.join();
   fanout_pool_.reset();
-  started_.store(false);
-  return Status::OK();
+  return stopped;
 }
 
-void Router::AcceptLoop() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (draining_.load()) {
-      ::close(fd);
-      return;
-    }
-    SetNoDelay(fd);
-    RegisterConnection(fd);
-    active_conns_.fetch_add(1, std::memory_order_relaxed);
-    worker_pool_->Submit([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void Router::RegisterConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  open_conns_.insert(fd);
-}
-
-void Router::UnregisterConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  open_conns_.erase(fd);
-}
-
-void Router::ForceCloseConnections() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (int fd : open_conns_) ::shutdown(fd, SHUT_RDWR);
-}
-
-void Router::HandleConnection(int fd) {
-  std::string buf;
-  int served = 0;
-  auto entered = Clock::now();
-  for (;;) {
-    // ---- read one request (keep-alive loop) ----
-    HttpRequest request;
-    bool have_request = false;
-    bool malformed = false;
-    Status parse_error;
-    for (;;) {
-      if (!buf.empty()) {
-        auto parsed =
-            server::ParseHttpRequest(buf, options_.max_body_bytes, &request);
-        if (!parsed.ok()) {
-          parse_error = parsed.status();
-          malformed = true;
-          break;
-        }
-        size_t consumed = parsed.ValueUnsafe();
-        if (consumed > 0) {
-          buf.erase(0, consumed);
-          have_request = true;
-          break;
-        }
-      }
-      if (draining_.load() && buf.empty()) break;
-      pollfd pfd{fd, POLLIN, 0};
-      int ready = ::poll(&pfd, 1, 100);
-      if (ready < 0 && errno != EINTR) break;
-      if (ready == 0) {
-        if (ElapsedMs(entered) >=
-            static_cast<int64_t>(options_.keep_alive_timeout_ms)) {
-          break;
-        }
-        continue;
-      }
-      char chunk[16384];
-      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n == 0) break;
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-        break;
-      }
-      buf.append(chunk, static_cast<size_t>(n));
-    }
-    if (malformed) {
-      HttpResponse response = ErrorResponse(parse_error);
-      WriteAll(fd, server::SerializeHttpResponse(response, false));
-      metrics_.Record("(malformed)", response.status, 0);
-      break;
-    }
-    if (!have_request) break;
-
-    auto arrival = Clock::now();
-    entered = arrival;  // keep-alive idle clock restarts per request
-    ++served;
-    std::string endpoint;
-    HttpResponse response = Dispatch(request, arrival, &endpoint);
-    bool keep_alive = request.KeepAlive() && !draining_.load() &&
-                      (options_.max_requests_per_connection <= 0 ||
-                       served < options_.max_requests_per_connection);
-    bool wrote =
-        WriteAll(fd, server::SerializeHttpResponse(response, keep_alive));
-    metrics_.Record(endpoint, response.status, ElapsedUs(arrival));
-    if (!wrote || !keep_alive) break;
-  }
-
-  UnregisterConnection(fd);
-  ::close(fd);
-  active_conns_.fetch_sub(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    drain_cv_.notify_all();
-  }
-}
-
-HttpResponse Router::Dispatch(const HttpRequest& request,
-                              Clock::time_point arrival,
-                              std::string* endpoint_label) {
-  const std::string& path = request.path;
-
-  // ---- deadline (same header contract as the backends) ----
-  int64_t deadline_ms = options_.default_deadline_ms;
-  std::string_view header = request.Header("x-mlake-deadline-ms");
-  if (!header.empty()) {
-    char* end = nullptr;
-    long v = std::strtol(std::string(header).c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0) {
-      *endpoint_label = "(malformed)";
-      return ErrorResponse(
-          Status::InvalidArgument("malformed X-Mlake-Deadline-Ms header"));
-    }
-    deadline_ms = v;
-  }
-  auto deadline = arrival + std::chrono::milliseconds(deadline_ms);
-
-  HttpResponse response;
-  if (request.method == "GET" && path == "/healthz") {
-    *endpoint_label = "GET /healthz";
-    return HandleHealthz();
-  } else if (request.method == "GET" && path == "/statsz") {
-    *endpoint_label = "GET /statsz";
-    return HandleStatsz();
-  } else if (request.method == "GET" && path == "/v1/models") {
-    *endpoint_label = "GET /v1/models";
-    response = HandleModelList(deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/") &&
-             EndsWith(path, "/citation")) {
-    // Governance reads: broadcast like any owner-answers read. The
-    // shard map ranks caught-up replicas ahead of their leader, and a
-    // stale replica's 503 is retryable — the leg fails over to the
-    // leader — so these prefer replicas without risking stale answers.
-    *endpoint_label = "GET /v1/models/{id}/citation";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/") &&
-             EndsWith(path, "/doc")) {
-    *endpoint_label = "GET /v1/models/{id}/doc";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/")) {
-    *endpoint_label = "GET /v1/models/{id}";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/audit/")) {
-    *endpoint_label = "GET /v1/audit/{id}";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && path == "/v1/export") {
-    *endpoint_label = "GET /v1/export";
-    response = HandleExport(deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/lineage/")) {
-    *endpoint_label = "GET /v1/lineage/{id}";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/embedding/")) {
-    *endpoint_label = "GET /v1/embedding/{id}";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "POST" && path == "/v1/search") {
-    *endpoint_label = "POST /v1/search";
-    response = HandleSearch(request, endpoint_label, deadline);
-  } else if (request.method == "POST" && path == "/v1/ingest") {
-    *endpoint_label = "POST /v1/ingest";
-    response = HandleIngest(request, deadline);
-  } else {
-    *endpoint_label = "(unmatched)";
-    return ErrorResponse(
-        Status::NotFound(request.method + " " + path + " has no handler"));
-  }
-
-  // A late answer is a missed deadline, like on the backends.
-  if (response.status < 400 && Clock::now() >= deadline) {
-    return ErrorResponse(Status::DeadlineExceeded(
-        "deadline of " + std::to_string(deadline_ms) +
-        " ms expired during scatter"));
-  }
-  return response;
+void Router::RegisterRoutes() {
+  // Owner-answers reads broadcast. For the governance reads the shard
+  // map ranks caught-up replicas ahead of their leader, and a stale
+  // replica's 503 is retryable — the leg fails over to the leader — so
+  // these prefer replicas without risking stale answers.
+  auto broadcast = [this](RequestContext& c) {
+    return HandleBroadcastGet(c.request.path, c.deadline);
+  };
+  http_.Route("GET", "/healthz",
+              [this](RequestContext&) { return HandleHealthz(); },
+              /*admission_exempt=*/true);
+  http_.Route("GET", "/statsz",
+              [this](RequestContext&) { return JsonResponse(StatszJson()); });
+  http_.Route("GET", "/v1/models", [this](RequestContext& c) {
+    return HandleModelList(c.deadline);
+  });
+  http_.Route("GET", "/v1/models/{id}/citation", broadcast);
+  http_.Route("GET", "/v1/models/{id}/doc", broadcast);
+  http_.Route("GET", "/v1/models/{id}", broadcast);
+  http_.Route("GET", "/v1/audit/{id}", broadcast);
+  http_.Route("GET", "/v1/export", [this](RequestContext& c) {
+    return HandleExport(c.deadline);
+  });
+  http_.Route("GET", "/v1/lineage/{id}", broadcast);
+  http_.Route("GET", "/v1/embedding/{id}", broadcast);
+  http_.Route("POST", "/v1/search",
+              [this](RequestContext& c) { return HandleSearch(c); });
+  http_.Route("POST", "/v1/ingest", [this](RequestContext& c) {
+    return HandleIngest(c.request, c.deadline);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -512,15 +295,13 @@ HttpResponse Router::Dispatch(const HttpRequest& request,
 // ---------------------------------------------------------------------------
 
 void Router::HeartbeatLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(hb_mu_);
-      hb_cv_.wait_for(lock,
-                      std::chrono::milliseconds(options_.heartbeat_interval_ms),
-                      [this] { return draining_.load(); });
-    }
-    if (draining_.load()) return;
+  std::unique_lock<std::mutex> lock(hb_mu_);
+  while (!hb_cv_.wait_for(
+      lock, std::chrono::milliseconds(options_.heartbeat_interval_ms),
+      [this] { return hb_stop_; })) {
+    lock.unlock();
     TickNow();
+    lock.lock();
   }
 }
 
@@ -813,15 +594,13 @@ Result<server::HttpResponse> Router::BroadcastFirst(const std::string& path,
 
 HttpResponse Router::HandleHealthz() const {
   Json body = Json::MakeObject();
-  bool draining = draining_.load();
+  bool draining = http_.draining();
   body.Set("status", draining ? "draining" : "ok");
   std::shared_ptr<const ShardMap> map = CurrentMap();
   body.Set("epoch", static_cast<int64_t>(map != nullptr ? map->epoch : 0));
   body.Set("cluster_size", static_cast<int64_t>(cluster_size_));
   return JsonResponse(std::move(body), draining ? 503 : 200);
 }
-
-HttpResponse Router::HandleStatsz() const { return JsonResponse(StatszJson()); }
 
 Json Router::StatszJson() const {
   Json out = Json::MakeObject();
@@ -865,14 +644,11 @@ Json Router::StatszJson() const {
   hedging.Set("failovers", failovers_.load(std::memory_order_relaxed));
   out.Set("hedging", std::move(hedging));
 
-  Json server_json = Json::MakeObject();
-  server_json.Set("uptime_ms", ElapsedMs(start_time_));
-  server_json.Set("threads", options_.threads);
+  Json server_json = http_.StatsJson();
   server_json.Set("fanout_threads", options_.fanout_threads);
-  server_json.Set("draining", draining_.load());
   out.Set("server", std::move(server_json));
 
-  out.Set("endpoints", metrics_.ToJson());
+  out.Set("endpoints", http_.metrics().ToJson());
   return out;
 }
 
@@ -989,10 +765,9 @@ HttpResponse Router::HandleExport(Clock::time_point deadline) {
   return out;
 }
 
-HttpResponse Router::HandleSearch(const HttpRequest& request,
-                                  std::string* endpoint_label,
-                                  Clock::time_point deadline) {
-  auto parsed = Json::Parse(request.body);
+HttpResponse Router::HandleSearch(RequestContext& ctx) {
+  Clock::time_point deadline = ctx.deadline;
+  auto parsed = Json::Parse(ctx.request.body);
   if (!parsed.ok()) {
     return ErrorResponse(Status::InvalidArgument("malformed JSON body: " +
                                                  parsed.status().message()));
@@ -1002,10 +777,9 @@ HttpResponse Router::HandleSearch(const HttpRequest& request,
     return ErrorResponse(Status::InvalidArgument("body must be an object"));
   }
   std::string type = body.GetString("type", "mlql");
-  if (endpoint_label != nullptr &&
-      (type == "mlql" || type == "ann" || type == "keyword" ||
-       type == "hybrid" || type == "ann_vec")) {
-    endpoint_label->append(":").append(type);
+  if (type == "mlql" || type == "ann" || type == "keyword" ||
+      type == "hybrid" || type == "ann_vec") {
+    ctx.label.append(":").append(type);
   }
   int64_t k_raw = body.GetInt64("k", 5);
   if (k_raw <= 0 || k_raw > kMaxServerK) {

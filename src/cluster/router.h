@@ -23,13 +23,18 @@
 // next replica immediately. Heartbeats also feed the epoch ticker,
 // which publishes a rebalanced, versioned ShardMap; in-flight requests
 // drain against the map they started with.
+//
+// Transport — threading model, admission, deadlines, bounded reads and
+// writes, graceful drain — is server::HttpServer (server/http_server.h);
+// the router is a handler set registered on it, so it inherits mlaked's
+// drain and deadline contracts. Every request carries a deadline
+// (default_deadline_ms > 0) that its scatter legs inherit.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +45,7 @@
 #include "search/ast.h"
 #include "server/client.h"
 #include "server/http.h"
+#include "server/http_server.h"
 #include "server/metrics.h"
 
 namespace mlake::cluster {
@@ -63,7 +69,8 @@ struct RouterOptions {
   int heartbeat_misses_down = 2;
 
   /// Deadline applied when a request carries no X-Mlake-Deadline-Ms
-  /// header; every scatter leg inherits the remaining budget.
+  /// header; every scatter leg inherits the remaining budget. Must be
+  /// > 0 (Start() rejects anything else).
   int default_deadline_ms = 30000;
 
   /// Hedged retries: a leg unanswered after
@@ -80,14 +87,15 @@ struct RouterOptions {
   /// Idle keep-alive connections pooled per backend.
   size_t max_idle_per_endpoint = 8;
 
+  /// Transport limits, as in server::HttpServerOptions.
   int max_requests_per_connection = 1000;
   int keep_alive_timeout_ms = 30000;
   int drain_deadline_ms = 5000;
   size_t max_body_bytes = 64u << 20;
 };
 
-/// A running router. Start() launches the accept loop, worker pool,
-/// fanout pool and the heartbeat/epoch thread.
+/// A running router. Start() launches the transport, the fanout pool
+/// and the heartbeat/epoch thread.
 class Router {
  public:
   explicit Router(RouterOptions options);
@@ -99,7 +107,8 @@ class Router {
   Status Start();
   Status Stop();
 
-  int port() const { return port_; }
+  int port() const { return http_.port(); }
+  bool draining() const { return http_.draining(); }
 
   const RouterOptions& options() const { return options_; }
 
@@ -115,7 +124,7 @@ class Router {
   uint64_t hedge_wins() const { return hedge_wins_.load(); }
   uint64_t failovers() const { return failovers_.load(); }
 
-  const server::MetricsRegistry& metrics() const { return metrics_; }
+  const server::MetricsRegistry& metrics() const { return http_.metrics(); }
 
   /// The router's /statsz document.
   Json StatszJson() const;
@@ -158,15 +167,8 @@ class Router {
     int winner = -1;  // attempt index of the answering attempt
   };
 
-  // ---- transport (mirrors mlaked's loop, leaner) ----
-  void AcceptLoop();
-  void HandleConnection(int fd);
-  server::HttpResponse Dispatch(const server::HttpRequest& request,
-                                Clock::time_point arrival,
-                                std::string* endpoint_label);
-  void RegisterConnection(int fd);
-  void UnregisterConnection(int fd);
-  void ForceCloseConnections();
+  /// Registers every endpoint on http_, in match order.
+  void RegisterRoutes();
 
   // ---- heartbeat / epoch ----
   void HeartbeatLoop();
@@ -198,7 +200,6 @@ class Router {
 
   // ---- handlers ----
   server::HttpResponse HandleHealthz() const;
-  server::HttpResponse HandleStatsz() const;
   server::HttpResponse HandleModelList(Clock::time_point deadline);
   server::HttpResponse HandleBroadcastGet(const std::string& path,
                                           Clock::time_point deadline);
@@ -207,9 +208,7 @@ class Router {
   /// deduplicated, summed header counts). Buffered at the router — the
   /// O(1)-memory path is the per-shard endpoint (DESIGN.md §15).
   server::HttpResponse HandleExport(Clock::time_point deadline);
-  server::HttpResponse HandleSearch(const server::HttpRequest& request,
-                                    std::string* endpoint_label,
-                                    Clock::time_point deadline);
+  server::HttpResponse HandleSearch(server::RequestContext& ctx);
   server::HttpResponse HandleIngest(const server::HttpRequest& request,
                                     Clock::time_point deadline);
 
@@ -237,7 +236,6 @@ class Router {
 
   RouterOptions options_;
   size_t cluster_size_ = 0;
-  server::MetricsRegistry metrics_;
   server::HttpClientPool pool_;
   std::vector<std::unique_ptr<BackendState>> backends_;
 
@@ -248,29 +246,19 @@ class Router {
   std::shared_ptr<const ShardMap> map_;
   uint64_t epoch_ = 0;
 
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::thread accept_thread_;
-  std::thread heartbeat_thread_;
-  std::unique_ptr<ThreadPool> worker_pool_;
-  std::unique_ptr<ThreadPool> fanout_pool_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<int> active_conns_{0};
-
   std::atomic<uint64_t> hedges_fired_{0};
   std::atomic<uint64_t> hedge_wins_{0};
   std::atomic<uint64_t> failovers_{0};
 
-  std::mutex conns_mu_;
-  std::set<int> open_conns_;
-  std::condition_variable drain_cv_;
-
   std::mutex hb_mu_;  // wakes the heartbeat loop early on Stop
   std::condition_variable hb_cv_;
+  bool hb_stop_ = false;  // guarded by hb_mu_
 
-  Clock::time_point start_time_;
+  // Last: these threads use every member above (the transport's
+  // workers run the handlers).
+  std::unique_ptr<ThreadPool> fanout_pool_;
+  std::thread heartbeat_thread_;
+  server::HttpServer http_;
 };
 
 }  // namespace mlake::cluster

@@ -19,19 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool WriteAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 HttpClient::HttpClient(std::string host, int port)

@@ -1,6 +1,9 @@
 #include "server/http.h"
 
+#include <sys/socket.h>
+
 #include <array>
+#include <cerrno>
 #include <cctype>
 #include <cstdlib>
 
@@ -110,8 +113,9 @@ Result<size_t> ParseHeadersAndBody(
   size_t content_length = 0;
   std::string_view cl = FindHeader(*headers, "content-length");
   if (!cl.empty()) {
+    std::string digits(cl);  // `end` points into it: keep it alive
     char* end = nullptr;
-    unsigned long long v = std::strtoull(std::string(cl).c_str(), &end, 10);
+    unsigned long long v = std::strtoull(digits.c_str(), &end, 10);
     if (end == nullptr || *end != '\0') {
       return Status::InvalidArgument("malformed Content-Length");
     }
@@ -289,6 +293,19 @@ std::string SerializeChunk(std::string_view data) {
 }
 
 std::string_view FinalChunk() { return "0\r\n\r\n"; }
+
+bool WriteAll(int fd, std::string_view data) {
+  size_t off = 0;
+  while (off < data.size()) {
+    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<size_t>(n);
+  }
+  return true;
+}
 
 std::string SerializeHttpRequest(
     std::string_view method, std::string_view target, std::string_view body,

@@ -6,8 +6,9 @@
 // chunked transfer for streamed responses — the governance export),
 // header lookup, query-string decoding, the Status -> HTTP code
 // mapping, and base64 (artifact bytes travel inside JSON ingest
-// bodies). Everything here is transport-agnostic — sockets live in
-// server.cc / client.cc.
+// bodies). Apart from WriteAll, the one socket send loop, everything
+// here is transport-agnostic — listening and request reads live in
+// http_server.cc, connects and response reads in client.cc.
 
 #include <cstdint>
 #include <functional>
@@ -24,7 +25,7 @@ namespace mlake::server {
 
 /// Hard parser limits: a request line + headers larger than this is
 /// rejected as malformed (64 KiB), and bodies are bounded by the
-/// caller-supplied budget (ServerOptions.max_body_bytes server-side).
+/// caller-supplied budget (HttpServerOptions.max_body_bytes server-side).
 inline constexpr size_t kMaxHeaderBytes = 64 * 1024;
 
 /// One parsed HTTP/1.1 request.
@@ -95,6 +96,12 @@ std::string SerializeChunk(std::string_view data);
 
 /// The terminating zero-chunk ("0\r\n\r\n").
 std::string_view FinalChunk();
+
+/// Writes all of `data` to socket `fd`, retrying on EINTR and partial
+/// writes. MSG_NOSIGNAL: a peer that closed mid-response yields EPIPE,
+/// not a process-killing SIGPIPE. False on any other error, including
+/// an expired SO_SNDTIMEO (EAGAIN).
+bool WriteAll(int fd, std::string_view data);
 
 /// Serializes a request (always with Content-Length, even when empty —
 /// keeps server-side framing trivial).

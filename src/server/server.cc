@@ -1,16 +1,9 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
+#include <chrono>
 #include <cstdlib>
-#include <cstring>
+#include <thread>
 
 #include "common/hash.h"
 #include "common/sharding.h"
@@ -22,51 +15,6 @@
 namespace mlake::server {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-int64_t ElapsedMs(Clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                               since)
-      .count();
-}
-
-uint64_t ElapsedUs(Clock::time_point since) {
-  auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - since)
-                .count();
-  return us < 0 ? 0 : static_cast<uint64_t>(us);
-}
-
-/// Writes the whole buffer, retrying on EINTR/partial writes.
-/// MSG_NOSIGNAL: a peer that closed mid-response yields EPIPE, not a
-/// process-killing SIGPIPE.
-bool WriteAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-/// True once the connection cannot produce a response anymore: the peer
-/// closed, or ForceCloseConnections() shut the socket down at the drain
-/// deadline. A pipelined next request (recv > 0) is not death.
-bool SocketDead(int fd) {
-  char probe;
-  ssize_t n = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-  return n == 0;
-}
 
 Json RankedModelsJson(const std::vector<search::RankedModel>& models) {
   Json arr = Json::MakeArray();
@@ -153,10 +101,9 @@ Json Bm25StatsToJson(const index::Bm25Stats& stats) {
 }  // namespace
 
 LakeServer::LakeServer(core::ModelLake* lake, ServerOptions options)
-    : lake_(lake), options_(std::move(options)) {
-  if (options_.threads <= 0) options_.threads = 8;
-  if (options_.max_inflight <= 0) options_.max_inflight = 1;
-  if (options_.max_queue < 0) options_.max_queue = 0;
+    : lake_(lake), options_(std::move(options)), http_(options_) {
+  // Report the transport's normalized limits (threads, admission).
+  static_cast<HttpServerOptions&>(options_) = http_.options();
   // CI hook: force batching on with a chosen window so the TSan job
   // exercises the coalescing path deterministically.
   if (const char* forced = std::getenv("MLAKE_TEST_BATCH_WINDOW_US")) {
@@ -175,434 +122,65 @@ LakeServer::LakeServer(core::ModelLake* lake, ServerOptions options)
     bopts.max_batch = static_cast<size_t>(options_.max_batch);
     batcher_ = std::make_unique<SearchBatcher>(lake_, bopts);
   }
+  RegisterRoutes();
 }
 
 LakeServer::~LakeServer() { (void)Stop(); }
 
-Status LakeServer::Start() {
-  if (started_.load()) return Status::FailedPrecondition("already started");
+Status LakeServer::Start() { return http_.Start(); }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+Status LakeServer::Stop() { return http_.Stop(); }
+
+void LakeServer::RegisterRoutes() {
+  // Match order matters: suffix routes (/citation, /doc) precede the
+  // bare /v1/models/{id} they would otherwise fall into.
+  using Ctx = RequestContext;
+  http_.Route("GET", "/healthz", [this](Ctx&) { return HandleHealthz(); },
+              /*admission_exempt=*/true);
+  http_.Route("GET", "/v1/heartbeat",
+              [this](Ctx&) { return HandleHeartbeat(); },
+              /*admission_exempt=*/true);
+  http_.Route("GET", "/v1/embedding/{id}",
+              [this](Ctx& c) { return HandleEmbedding(c.id); });
+  http_.Route("GET", "/statsz",
+              [this](Ctx&) { return JsonResponse(StatszJson()); });
+  http_.Route("GET", "/v1/models", [this](Ctx&) { return HandleModelList(); });
+  http_.Route("GET", "/v1/models/{id}/citation",
+              [this](Ctx& c) { return HandleCitation(c.request, c.id); });
+  http_.Route("GET", "/v1/models/{id}/doc",
+              [this](Ctx& c) { return HandleModelDoc(c.id); });
+  http_.Route("GET", "/v1/models/{id}",
+              [this](Ctx& c) { return HandleModelGet(c.id); });
+  http_.Route("GET", "/v1/audit/{id}",
+              [this](Ctx& c) { return HandleAudit(c.id); });
+  http_.Route("GET", "/v1/export",
+              [this](Ctx& c) { return HandleExport(c.request); });
+  http_.Route("GET", "/v1/lineage/{id}",
+              [this](Ctx& c) { return HandleLineage(c.id); });
+  http_.Route("POST", "/v1/search", [this](Ctx& c) { return HandleSearch(c); });
+  http_.Route("POST", "/v1/ingest",
+              [this](Ctx& c) { return HandleIngest(c.request); });
+  http_.Route("GET", "/v1/replication/log",
+              [this](Ctx& c) { return HandleReplicationLog(c.request); });
+  http_.Route("GET", "/v1/replication/blob/{digest}",
+              [this](Ctx& c) { return HandleReplicationBlob(c.id); });
+  http_.Route("GET", "/v1/replication/fingerprint",
+              [this](Ctx&) { return HandleReplicationFingerprint(); });
+  http_.Route("GET", "/v1/replication/seed",
+              [this](Ctx&) { return HandleReplicationSeed(); });
+  http_.Route("POST", "/v1/replication/ship",
+              [this](Ctx& c) { return HandleReplicationShip(c.request); });
+  http_.Route("POST", "/v1/replication/promote",
+              [this](Ctx&) { return HandleReplicationPromote(); });
+  if (options_.enable_debug_endpoints) {
+    http_.Route("GET", "/debug/sleep",
+                [this](Ctx& c) { return HandleDebugSleep(c); });
   }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status st = Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    Status st = Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
-
-  draining_.store(false);
-  start_time_ = Clock::now();
-  pool_ = std::make_unique<ThreadPool>(options_.threads);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  started_.store(true);
-  return Status::OK();
-}
-
-Status LakeServer::Stop() {
-  if (!started_.load()) return Status::OK();
-  draining_.store(true);
-
-  // Wake the accept thread out of accept() (shutdown, then close after
-  // the join — closing a blocking-accept fd does not reliably wake it).
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  // Drain: workers notice draining_ within one poll tick (idle
-  // connections close; busy ones finish their in-flight request, send
-  // Connection: close, and exit).
-  auto deadline = Clock::now() +
-                  std::chrono::milliseconds(options_.drain_deadline_ms);
-  {
-    std::unique_lock<std::mutex> lock(conns_mu_);
-    drain_cv_.wait_until(lock, deadline, [this] {
-      return active_conns_.load() == 0 && queued_conns_.load() == 0;
-    });
-  }
-  if (active_conns_.load() != 0) {
-    // Drain deadline expired: sever the remaining connections. Their
-    // handlers observe the dead socket and unwind.
-    ForceCloseConnections();
-  }
-  // Joins workers; still-queued connection tasks run first, see
-  // draining_ and answer 503 immediately.
-  pool_.reset();
-  started_.store(false);
-  return Status::OK();
-}
-
-void LakeServer::AcceptLoop() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (Stop) or fatal accept error
-    }
-    if (draining_.load()) {
-      ::close(fd);
-      return;
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    SetNoDelay(fd);
-
-    // Queue-depth admission: connections beyond what the pool will pick
-    // up soon are turned away right here with the overload answer.
-    if (queued_conns_.load(std::memory_order_relaxed) >= options_.max_queue) {
-      rejected_queue_.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse response = ErrorResponse(
-          Status::ResourceExhausted("server overloaded: connection queue full"));
-      WriteAll(fd, SerializeHttpResponse(response, /*keep_alive=*/false));
-      ::close(fd);
-      metrics_.Record("(admission)", response.status, 0);
-      continue;
-    }
-
-    queued_conns_.fetch_add(1, std::memory_order_relaxed);
-    RegisterConnection(fd);
-    pool_->Submit([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void LakeServer::RegisterConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  open_conns_.insert(fd);
-}
-
-void LakeServer::UnregisterConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  open_conns_.erase(fd);
-}
-
-void LakeServer::ForceCloseConnections() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (int fd : open_conns_) ::shutdown(fd, SHUT_RDWR);
-}
-
-LakeServer::ReadOutcome LakeServer::ReadRequest(int fd, std::string* buf,
-                                                HttpRequest* request,
-                                                Status* parse_error) {
-  auto entered = Clock::now();
-  for (;;) {
-    if (!buf->empty()) {
-      auto parsed = ParseHttpRequest(*buf, options_.max_body_bytes, request);
-      if (!parsed.ok()) {
-        *parse_error = parsed.status();
-        return ReadOutcome::kMalformed;
-      }
-      size_t consumed = parsed.ValueUnsafe();
-      if (consumed > 0) {
-        buf->erase(0, consumed);
-        return ReadOutcome::kRequest;
-      }
-    }
-
-    pollfd pfd{fd, POLLIN, 0};
-    if (draining_.load() && buf->empty()) {
-      // Grace probe: bytes may already sit in the kernel buffer — a
-      // request we committed to by accepting it. Only close when the
-      // connection is genuinely quiet.
-      int ready = ::poll(&pfd, 1, 0);
-      if (ready <= 0) return ReadOutcome::kDrainingIdle;
-    } else {
-      int ready = ::poll(&pfd, 1, 100);
-      if (ready < 0 && errno != EINTR) return ReadOutcome::kClosed;
-      if (ready == 0) {
-        if (ElapsedMs(entered) >=
-            static_cast<int64_t>(options_.keep_alive_timeout_ms)) {
-          return ReadOutcome::kIdleTimeout;
-        }
-        continue;
-      }
-    }
-
-    char chunk[16384];
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) return ReadOutcome::kClosed;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return ReadOutcome::kClosed;
-    }
-    buf->append(chunk, static_cast<size_t>(n));
-  }
-}
-
-void LakeServer::HandleConnection(int fd) {
-  queued_conns_.fetch_sub(1, std::memory_order_relaxed);
-  active_conns_.fetch_add(1, std::memory_order_relaxed);
-
-  std::string buf;
-  int served = 0;
-  if (draining_.load()) {
-    // Accepted before the drain began but never picked up: refuse
-    // cleanly instead of silently dropping the connection.
-    HttpResponse response =
-        ErrorResponse(Status::Unavailable("server shutting down"));
-    WriteAll(fd, SerializeHttpResponse(response, /*keep_alive=*/false));
-  } else {
-    for (;;) {
-      HttpRequest request;
-      Status parse_error;
-      ReadOutcome outcome = ReadRequest(fd, &buf, &request, &parse_error);
-      if (outcome == ReadOutcome::kMalformed) {
-        HttpResponse response = ErrorResponse(parse_error);
-        WriteAll(fd, SerializeHttpResponse(response, /*keep_alive=*/false));
-        metrics_.Record("(malformed)", response.status, 0);
-        break;
-      }
-      if (outcome != ReadOutcome::kRequest) break;
-
-      auto arrival = Clock::now();
-      ++served;
-      std::string endpoint;
-      HttpResponse response = Dispatch(request, arrival, &endpoint, fd);
-      bool keep_alive = request.KeepAlive() && !draining_.load() &&
-                        (options_.max_requests_per_connection <= 0 ||
-                         served < options_.max_requests_per_connection);
-      bool wrote =
-          WriteAll(fd, SerializeHttpResponse(response, keep_alive));
-      if (wrote && response.is_streaming()) {
-        // Chunked body: pump the streamer until it runs dry, then the
-        // zero-chunk terminator. A mid-stream write failure means the
-        // peer is gone — the framing is now broken, so just close.
-        std::string chunk;
-        while (wrote && response.streamer(&chunk)) {
-          wrote = WriteAll(fd, SerializeChunk(chunk));
-          chunk.clear();
-        }
-        if (wrote) wrote = WriteAll(fd, std::string(FinalChunk()));
-        // Drop the streamer eagerly: it owns a shared lock on the lake
-        // snapshot, which should not outlive the response.
-        response.streamer = nullptr;
-      }
-      metrics_.Record(endpoint, response.status, ElapsedUs(arrival));
-      if (!wrote || !keep_alive) break;
-    }
-  }
-
-  UnregisterConnection(fd);
-  ::close(fd);
-  active_conns_.fetch_sub(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    drain_cv_.notify_all();
-  }
-}
-
-HttpResponse LakeServer::Dispatch(const HttpRequest& request,
-                                  Clock::time_point arrival,
-                                  std::string* endpoint_label, int fd) {
-  // ---- route ----------------------------------------------------------
-  const std::string& path = request.path;
-  std::string id;
-  enum class Route {
-    kHealthz, kHeartbeat, kStatsz, kModelList, kModelGet, kLineage,
-    kEmbedding, kSearch, kIngest, kCitation, kModelDoc, kAudit, kExport,
-    kReplLog, kReplBlob, kReplFingerprint, kReplSeed, kReplShip,
-    kReplPromote, kDebugSleep, kUnmatched
-  } route = Route::kUnmatched;
-  if (request.method == "GET" && path == "/healthz") {
-    route = Route::kHealthz;
-    *endpoint_label = "GET /healthz";
-  } else if (request.method == "GET" && path == "/v1/heartbeat") {
-    route = Route::kHeartbeat;
-    *endpoint_label = "GET /v1/heartbeat";
-  } else if (request.method == "GET" && StartsWith(path, "/v1/embedding/")) {
-    route = Route::kEmbedding;
-    *endpoint_label = "GET /v1/embedding/{id}";
-    id = path.substr(std::strlen("/v1/embedding/"));
-  } else if (request.method == "GET" && path == "/statsz") {
-    route = Route::kStatsz;
-    *endpoint_label = "GET /statsz";
-  } else if (request.method == "GET" && path == "/v1/models") {
-    route = Route::kModelList;
-    *endpoint_label = "GET /v1/models";
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/") &&
-             EndsWith(path, "/citation") &&
-             path.size() >
-                 std::strlen("/v1/models/") + std::strlen("/citation")) {
-    // Suffix routes must match before the bare model get below.
-    route = Route::kCitation;
-    *endpoint_label = "GET /v1/models/{id}/citation";
-    id = path.substr(std::strlen("/v1/models/"),
-                     path.size() - std::strlen("/v1/models/") -
-                         std::strlen("/citation"));
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/") &&
-             EndsWith(path, "/doc") &&
-             path.size() > std::strlen("/v1/models/") + std::strlen("/doc")) {
-    route = Route::kModelDoc;
-    *endpoint_label = "GET /v1/models/{id}/doc";
-    id = path.substr(
-        std::strlen("/v1/models/"),
-        path.size() - std::strlen("/v1/models/") - std::strlen("/doc"));
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/")) {
-    route = Route::kModelGet;
-    *endpoint_label = "GET /v1/models/{id}";
-    id = path.substr(std::strlen("/v1/models/"));
-  } else if (request.method == "GET" && StartsWith(path, "/v1/audit/")) {
-    route = Route::kAudit;
-    *endpoint_label = "GET /v1/audit/{id}";
-    id = path.substr(std::strlen("/v1/audit/"));
-  } else if (request.method == "GET" && path == "/v1/export") {
-    route = Route::kExport;
-    *endpoint_label = "GET /v1/export";
-  } else if (request.method == "GET" && StartsWith(path, "/v1/lineage/")) {
-    route = Route::kLineage;
-    *endpoint_label = "GET /v1/lineage/{id}";
-    id = path.substr(std::strlen("/v1/lineage/"));
-  } else if (request.method == "POST" && path == "/v1/search") {
-    route = Route::kSearch;
-    *endpoint_label = "POST /v1/search";
-  } else if (request.method == "POST" && path == "/v1/ingest") {
-    route = Route::kIngest;
-    *endpoint_label = "POST /v1/ingest";
-  } else if (request.method == "GET" && path == "/v1/replication/log") {
-    route = Route::kReplLog;
-    *endpoint_label = "GET /v1/replication/log";
-  } else if (request.method == "GET" &&
-             StartsWith(path, "/v1/replication/blob/")) {
-    route = Route::kReplBlob;
-    *endpoint_label = "GET /v1/replication/blob/{digest}";
-    id = path.substr(std::strlen("/v1/replication/blob/"));
-  } else if (request.method == "GET" &&
-             path == "/v1/replication/fingerprint") {
-    route = Route::kReplFingerprint;
-    *endpoint_label = "GET /v1/replication/fingerprint";
-  } else if (request.method == "GET" && path == "/v1/replication/seed") {
-    route = Route::kReplSeed;
-    *endpoint_label = "GET /v1/replication/seed";
-  } else if (request.method == "POST" && path == "/v1/replication/ship") {
-    route = Route::kReplShip;
-    *endpoint_label = "POST /v1/replication/ship";
-  } else if (request.method == "POST" &&
-             path == "/v1/replication/promote") {
-    route = Route::kReplPromote;
-    *endpoint_label = "POST /v1/replication/promote";
-  } else if (options_.enable_debug_endpoints && request.method == "GET" &&
-             path == "/debug/sleep") {
-    route = Route::kDebugSleep;
-    *endpoint_label = "GET /debug/sleep";
-  } else {
-    *endpoint_label = "(unmatched)";
-    return ErrorResponse(
-        Status::NotFound(request.method + " " + path + " has no handler"));
-  }
-
-  // ---- health + heartbeat are exempt from admission and deadlines -----
-  // (the router must be able to read a saturated backend's load; a 429
-  // heartbeat would blind the rebalancer exactly when it matters).
-  if (route == Route::kHealthz) return HandleHealthz();
-  if (route == Route::kHeartbeat) return HandleHeartbeat();
-
-  // ---- admission ------------------------------------------------------
-  int inflight = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (inflight > options_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    rejected_inflight_.fetch_add(1, std::memory_order_relaxed);
-    return ErrorResponse(Status::ResourceExhausted(
-        "server overloaded: " + std::to_string(inflight - 1) +
-        " requests in flight"));
-  }
-  struct InflightRelease {
-    std::atomic<int>* counter;
-    ~InflightRelease() { counter->fetch_sub(1, std::memory_order_relaxed); }
-  } release{&inflight_};
-
-  // ---- deadline -------------------------------------------------------
-  int64_t deadline_ms = options_.default_deadline_ms;
-  std::string_view header = request.Header("x-mlake-deadline-ms");
-  if (!header.empty()) {
-    char* end = nullptr;
-    long v = std::strtol(std::string(header).c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0) {
-      return ErrorResponse(
-          Status::InvalidArgument("malformed X-Mlake-Deadline-Ms header"));
-    }
-    deadline_ms = v;
-  }
-  bool has_deadline = deadline_ms > 0;
-  auto deadline = arrival + std::chrono::milliseconds(deadline_ms);
-  if (has_deadline && Clock::now() >= deadline) {
-    return ErrorResponse(Status::DeadlineExceeded(
-        "deadline of " + std::to_string(deadline_ms) +
-        " ms expired before execution"));
-  }
-
-  // ---- handler --------------------------------------------------------
-  HttpResponse response;
-  switch (route) {
-    case Route::kStatsz: response = HandleStatsz(); break;
-    case Route::kModelList: response = HandleModelList(); break;
-    case Route::kModelGet: response = HandleModelGet(id); break;
-    case Route::kLineage: response = HandleLineage(id); break;
-    case Route::kEmbedding: response = HandleEmbedding(id); break;
-    case Route::kSearch:
-      response = HandleSearch(request, endpoint_label);
-      break;
-    case Route::kIngest: response = HandleIngest(request); break;
-    case Route::kCitation: response = HandleCitation(request, id); break;
-    case Route::kModelDoc: response = HandleModelDoc(id); break;
-    case Route::kAudit: response = HandleAudit(id); break;
-    case Route::kExport: response = HandleExport(request); break;
-    case Route::kReplLog: response = HandleReplicationLog(request); break;
-    case Route::kReplBlob: response = HandleReplicationBlob(id); break;
-    case Route::kReplFingerprint:
-      response = HandleReplicationFingerprint();
-      break;
-    case Route::kReplSeed: response = HandleReplicationSeed(); break;
-    case Route::kReplShip: response = HandleReplicationShip(request); break;
-    case Route::kReplPromote: response = HandleReplicationPromote(); break;
-    case Route::kDebugSleep:
-      response = HandleDebugSleep(request, deadline, has_deadline, fd);
-      break;
-    case Route::kHealthz:
-    case Route::kHeartbeat:
-    case Route::kUnmatched:
-      response = ErrorResponse(Status::Internal("unreachable route"));
-      break;
-  }
-
-  // The handler itself may have spent the deadline; a late answer is a
-  // missed deadline, not a success.
-  if (has_deadline && response.status < 400 && Clock::now() >= deadline) {
-    return ErrorResponse(Status::DeadlineExceeded(
-        "deadline of " + std::to_string(deadline_ms) +
-        " ms expired during execution"));
-  }
-  return response;
 }
 
 HttpResponse LakeServer::HandleHealthz() const {
   Json body = Json::MakeObject();
-  bool draining = draining_.load();
+  bool draining = http_.draining();
   body.Set("status", draining ? "draining" : "ok");
   return JsonResponse(std::move(body), draining ? 503 : 200);
 }
@@ -614,8 +192,8 @@ HttpResponse LakeServer::HandleHeartbeat() const {
   body.Set("models", lake_->NumModels());
   body.Set("index_generation",
            static_cast<int64_t>(lake_->IndexGeneration()));
-  body.Set("draining", draining_.load());
-  body.Set("inflight", inflight_.load());
+  body.Set("draining", http_.draining());
+  body.Set("inflight", http_.inflight());
   // Replication role, for the router's read routing and failover: a
   // "replica" serves reads (with a watermark), a "leader" also takes
   // writes, a "standalone" node predates replication and does both.
@@ -633,7 +211,8 @@ HttpResponse LakeServer::HandleHeartbeat() const {
   }
   // The search-family p95 (all "POST /v1/search:*" kinds merged) is
   // what the router's hedging policy keys its per-shard delay off.
-  EndpointStats search = metrics_.AggregateSnapshot("POST /v1/search");
+  EndpointStats search =
+      http_.metrics().AggregateSnapshot("POST /v1/search");
   body.Set("search_requests", search.requests);
   body.Set("search_p95_us", search.latency.PercentileUs(95));
   return JsonResponse(std::move(body));
@@ -651,8 +230,6 @@ HttpResponse LakeServer::HandleEmbedding(const std::string& id) const {
   body.Set("embedding", std::move(arr));
   return JsonResponse(std::move(body));
 }
-
-HttpResponse LakeServer::HandleStatsz() const { return JsonResponse(StatszJson()); }
 
 Json LakeServer::StatszJson() const {
   Json out = Json::MakeObject();
@@ -678,18 +255,7 @@ Json LakeServer::StatszJson() const {
     out.Set("batching", std::move(batching));
   }
 
-  Json server = Json::MakeObject();
-  server.Set("uptime_ms", ElapsedMs(start_time_));
-  server.Set("threads", options_.threads);
-  server.Set("draining", draining_.load());
-  server.Set("connections_accepted", connections_accepted_.load());
-  server.Set("inflight", inflight_.load());
-  server.Set("max_inflight", options_.max_inflight);
-  server.Set("queued_connections", queued_conns_.load());
-  server.Set("max_queue", options_.max_queue);
-  server.Set("rejected_inflight", rejected_inflight_.load());
-  server.Set("rejected_queue", rejected_queue_.load());
-  out.Set("server", std::move(server));
+  out.Set("server", http_.StatsJson());
 
   if (options_.replication != nullptr) {
     out.Set("replication", options_.replication->StatszJson());
@@ -703,7 +269,7 @@ Json LakeServer::StatszJson() const {
 
   out.Set("governance", governance_stats_.ToJson());
 
-  out.Set("endpoints", metrics_.ToJson());
+  out.Set("endpoints", http_.metrics().ToJson());
   return out;
 }
 
@@ -836,8 +402,7 @@ HttpResponse LakeServer::HandleExport(const HttpRequest& request) const {
   return response;
 }
 
-HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
-                                      std::string* endpoint_label) const {
+HttpResponse LakeServer::HandleSearch(RequestContext& ctx) const {
   // Test/bench seam: idle (non-CPU) delay modeling per-shard service
   // time, or slowing one shard so the router's hedge fires.
   if (options_.test_search_delay_us != nullptr) {
@@ -847,7 +412,7 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
       std::this_thread::sleep_for(std::chrono::microseconds(delay));
     }
   }
-  auto parsed = Json::Parse(request.body);
+  auto parsed = Json::Parse(ctx.request.body);
   if (!parsed.ok()) {
     return ErrorResponse(BodyError(parsed.status(), "malformed JSON body"));
   }
@@ -856,13 +421,12 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
     return ErrorResponse(Status::InvalidArgument("body must be an object"));
   }
   std::string type = body.GetString("type", "mlql");
-  if (endpoint_label != nullptr &&
-      (type == "mlql" || type == "ann" || type == "keyword" ||
-       type == "hybrid" || type == "ann_vec" || type == "keyword_stats" ||
-       type == "hybrid_parts")) {
+  if (type == "mlql" || type == "ann" || type == "keyword" ||
+      type == "hybrid" || type == "ann_vec" || type == "keyword_stats" ||
+      type == "hybrid_parts") {
     // Per-kind latency split in /statsz ("POST /v1/search:ann", ...);
     // unknown types stay under the bare route to bound cardinality.
-    endpoint_label->append(":").append(type);
+    ctx.label.append(":").append(type);
   }
   size_t k = static_cast<size_t>(body.GetInt64("k", 5));
   if (k == 0 || k > 10000) {
@@ -1193,21 +757,21 @@ HttpResponse LakeServer::HandleReplicationPromote() const {
   return JsonResponse(std::move(out));
 }
 
-HttpResponse LakeServer::HandleDebugSleep(const HttpRequest& request,
-                                          Clock::time_point deadline,
-                                          bool has_deadline, int fd) const {
-  long ms = std::strtol(request.QueryParam("ms", "100").c_str(), nullptr, 10);
+HttpResponse LakeServer::HandleDebugSleep(const RequestContext& ctx) const {
+  using Clock = std::chrono::steady_clock;
+  long ms =
+      std::strtol(ctx.request.QueryParam("ms", "100").c_str(), nullptr, 10);
   if (ms < 0) ms = 0;
   if (ms > 10000) ms = 10000;
   auto wake = Clock::now() + std::chrono::milliseconds(ms);
   // Sliced sleep so an expired deadline — or a severed connection (the
   // drain deadline's force-close) — is noticed promptly mid-nap.
   while (Clock::now() < wake) {
-    if (has_deadline && Clock::now() >= deadline) {
+    if (ctx.has_deadline && Clock::now() >= ctx.deadline) {
       return ErrorResponse(
           Status::DeadlineExceeded("deadline expired while sleeping"));
     }
-    if (SocketDead(fd)) {
+    if (ctx.ConnectionLost()) {
       return ErrorResponse(Status::Unavailable("connection severed"));
     }
     auto next = std::min(wake, Clock::now() + std::chrono::milliseconds(5));

@@ -44,35 +44,21 @@
 //   POST /v1/replication/ship                leader-pushed log batch
 //   POST /v1/replication/promote             replica -> leader
 //
-// Threading model: one blocking accept thread plus a worker pool
-// (common/thread_pool) running thread-per-connection keep-alive loops.
-// The lake's shared_mutex contract does the rest: search/read handlers
-// run concurrently under the shared lock, ingest serializes under the
-// exclusive lock.
-//
-// Admission control bounds both queue depth (connections accepted but
-// not yet picked up by a worker) and in-flight requests (currently
-// executing handlers); overload is answered with 429 + Retry-After,
-// the HTTP face of Status::ResourceExhausted. Per-request deadlines
-// (X-Mlake-Deadline-Ms header, or ServerOptions.default_deadline_ms)
-// are enforced server-side before and after the lake call and map to
-// 504 / Status::DeadlineExceeded.
+// Transport — threading model, admission control (429), deadlines
+// (X-Mlake-Deadline-Ms, 504), bounded reads and writes, graceful drain —
+// is server::HttpServer (server/http_server.h); LakeServer is the
+// handler set above, registered on it.
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/model_lake.h"
 #include "governance/governance.h"
 #include "server/batcher.h"
 #include "server/http.h"
+#include "server/http_server.h"
 #include "server/metrics.h"
 
 namespace mlake::server {
@@ -117,33 +103,9 @@ class ReplicationControl {
   virtual int StaleRetryAfterSeconds() const { return 1; }
 };
 
-struct ServerOptions {
-  std::string bind_address = "127.0.0.1";
-  /// TCP port; 0 binds an ephemeral port (see LakeServer::port()).
-  int port = 0;
-  /// Worker pool size — the maximum number of concurrently served
-  /// connections (thread-per-connection).
-  int threads = 8;
-  /// Maximum concurrently executing requests; the excess is rejected
-  /// with 429 + Retry-After (ResourceExhausted).
-  int max_inflight = 64;
-  /// Maximum connections accepted but not yet picked up by a worker;
-  /// beyond it the accept thread answers 429 directly and closes.
-  int max_queue = 128;
-  /// A keep-alive connection is closed after this many requests so a
-  /// saturated pool rotates to queued connections (fairness; clients
-  /// reconnect transparently). 0 = unlimited.
-  int max_requests_per_connection = 1000;
-  /// Idle keep-alive connections are closed after this long, freeing
-  /// their worker.
-  int keep_alive_timeout_ms = 30000;
-  /// Deadline applied when a request carries no X-Mlake-Deadline-Ms
-  /// header. 0 = none.
-  int default_deadline_ms = 0;
-  /// How long Stop() waits for in-flight requests to finish before
-  /// force-closing their connections.
-  int drain_deadline_ms = 5000;
-  size_t max_body_bytes = 64u << 20;
+/// Transport fields (bind address, port, threads, admission limits,
+/// keep-alive, deadlines, drain, body cap) come from HttpServerOptions.
+struct ServerOptions : HttpServerOptions {
   /// Enables GET /debug/sleep?ms=N (deterministic slow handler used by
   /// the shutdown/admission/deadline tests and nothing else).
   bool enable_debug_endpoints = false;
@@ -186,7 +148,7 @@ class LakeServer {
   LakeServer(const LakeServer&) = delete;
   LakeServer& operator=(const LakeServer&) = delete;
 
-  /// Binds, listens and starts the accept thread + worker pool.
+  /// Binds, listens and starts serving (see HttpServer::Start).
   Status Start();
 
   /// Graceful shutdown: stops accepting, lets in-flight requests finish
@@ -196,35 +158,25 @@ class LakeServer {
 
   /// The bound port (the actual one when options.port was 0). Valid
   /// after Start().
-  int port() const { return port_; }
+  int port() const { return http_.port(); }
 
-  bool draining() const { return draining_.load(std::memory_order_relaxed); }
+  bool draining() const { return http_.draining(); }
 
   const ServerOptions& options() const { return options_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
+  const MetricsRegistry& metrics() const { return http_.metrics(); }
 
   /// The /statsz document (also printed by `mlake serve` on shutdown).
   Json StatszJson() const;
 
  private:
-  /// How one connection's read loop ended.
-  enum class ReadOutcome { kRequest, kClosed, kIdleTimeout, kDrainingIdle,
-                           kMalformed };
-
-  void AcceptLoop();
-  void HandleConnection(int fd);
-  ReadOutcome ReadRequest(int fd, std::string* buf, HttpRequest* request,
-                          Status* parse_error);
-  HttpResponse Dispatch(const HttpRequest& request,
-                        std::chrono::steady_clock::time_point arrival,
-                        std::string* endpoint_label, int fd);
+  /// Registers every endpoint above on http_, in match order.
+  void RegisterRoutes();
 
   HttpResponse HandleHealthz() const;
   /// Cluster heartbeat: shard identity, model count, index generation,
   /// inflight/draining, and the search-family p95 the router's hedging
   /// policy keys off. Admission- and deadline-exempt like /healthz.
   HttpResponse HandleHeartbeat() const;
-  HttpResponse HandleStatsz() const;
   /// Raw embedding vector for one model (router-side ann resolve: the
   /// owning shard answers, every other shard 404s).
   HttpResponse HandleEmbedding(const std::string& id) const;
@@ -242,10 +194,9 @@ class LakeServer {
   /// whose watermark trails the leader, fills `*response` with 503 +
   /// Retry-After (derived from the lag) and returns true.
   bool RejectStaleGovernanceRead(HttpResponse* response) const;
-  /// Appends ":<kind>" to *endpoint_label for known search kinds so
+  /// Appends ":<kind>" to the metrics label for known search kinds so
   /// /statsz reports a per-kind latency split under "endpoints".
-  HttpResponse HandleSearch(const HttpRequest& request,
-                            std::string* endpoint_label) const;
+  HttpResponse HandleSearch(RequestContext& ctx) const;
   HttpResponse HandleIngest(const HttpRequest& request) const;
   HttpResponse HandleReplicationLog(const HttpRequest& request) const;
   HttpResponse HandleReplicationBlob(const std::string& digest) const;
@@ -253,44 +204,16 @@ class LakeServer {
   HttpResponse HandleReplicationSeed() const;
   HttpResponse HandleReplicationShip(const HttpRequest& request) const;
   HttpResponse HandleReplicationPromote() const;
-  HttpResponse HandleDebugSleep(
-      const HttpRequest& request,
-      std::chrono::steady_clock::time_point deadline, bool has_deadline,
-      int fd) const;
-
-  void RegisterConnection(int fd);
-  void UnregisterConnection(int fd);
-  void ForceCloseConnections();
+  HttpResponse HandleDebugSleep(const RequestContext& ctx) const;
 
   core::ModelLake* lake_;
   ServerOptions options_;
-  MetricsRegistry metrics_;
   /// Governance counters (/statsz "governance"); mutable because const
   /// read handlers bump them.
   mutable governance::GovernanceStats governance_stats_;
   /// Search coalescing (null when options_.enable_batching is false).
   std::unique_ptr<SearchBatcher> batcher_;
-
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<int> queued_conns_{0};
-  std::atomic<int> inflight_{0};
-  std::atomic<int> active_conns_{0};
-  std::atomic<uint64_t> rejected_queue_{0};
-  std::atomic<uint64_t> rejected_inflight_{0};
-  std::atomic<uint64_t> connections_accepted_{0};
-
-  /// Open connection fds, for force-close at the drain deadline.
-  std::mutex conns_mu_;
-  std::set<int> open_conns_;
-  std::condition_variable drain_cv_;
-
-  std::chrono::steady_clock::time_point start_time_;
+  HttpServer http_;
 };
 
 }  // namespace mlake::server

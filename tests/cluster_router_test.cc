@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,6 +130,170 @@ TEST(ClusterRouterConcurrencyTest, MixedTrafficRacesTicksAndDelays) {
   ASSERT_TRUE(cluster->Stop().ok());
   cluster.reset();
   ASSERT_TRUE(RemoveAll(dir).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Drain contract: the router runs on the same transport as mlaked, so it
+// must pass the cases server_shutdown_test pins for a backend.
+// ---------------------------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+int64_t MsSince(Clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                               start)
+      .count();
+}
+
+/// A routed search that the backend's delay seam holds for as long as
+/// the test sets it to (the lakes are empty; drain needs no models).
+constexpr char kSlowSearch[] =
+    R"({"type": "mlql", "query": "FIND MODELS LIMIT 1"})";
+
+class RouterShutdownTest : public ::testing::Test {
+ protected:
+  void StartCluster(int router_threads) {
+    dir_ = MakeTempDir("mlake-router-drain").ValueOrDie();
+    InProcessClusterOptions options;
+    options.shards = 1;
+    options.lake_options.input_dim = kDim;
+    options.lake_options.num_classes = kClasses;
+    options.server_options.threads = 16;
+    options.router_options.threads = router_threads;
+    options.router_options.drain_deadline_ms = 5000;
+    options.router_options.heartbeat_interval_ms = 60000;
+    cluster_ = InProcessCluster::Create(dir_, std::move(options))
+                   .MoveValueUnsafe();
+  }
+  void TearDown() override {
+    ASSERT_TRUE(cluster_->Stop().ok());
+    cluster_.reset();
+    ASSERT_TRUE(RemoveAll(dir_).ok());
+  }
+
+  std::string dir_;
+  std::unique_ptr<InProcessCluster> cluster_;
+};
+
+TEST_F(RouterShutdownTest, InFlightRoutedRequestFinishesDuringStop) {
+  StartCluster(/*router_threads=*/4);
+  cluster_->search_delay_us(0)->store(600000);
+  int port = cluster_->router_port();
+
+  std::atomic<int> slow_status{0};
+  std::thread slow([&] {
+    server::HttpClient client("127.0.0.1", port);
+    client.set_timeout_ms(8000);
+    auto response = client.Post("/v1/search", kSlowSearch);
+    if (response.ok()) slow_status.store(response.ValueUnsafe().status);
+  });
+  // Give the request time to reach the backend.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+
+  auto stop_begun = Clock::now();
+  ASSERT_TRUE(cluster_->router()->Stop().ok());
+  int64_t stop_ms = MsSince(stop_begun);
+  slow.join();
+
+  EXPECT_EQ(slow_status.load(), 200);
+  EXPECT_GE(stop_ms, 300);   // waited for the in-flight scatter
+  EXPECT_LT(stop_ms, 5000);  // and did not burn the whole drain budget
+  EXPECT_TRUE(cluster_->router()->draining());
+}
+
+TEST_F(RouterShutdownTest, RequestBytesInKernelBufferAreServed) {
+  // Both router workers are busy with slow searches when eight more
+  // clients connect and send; their bytes wait in kernel buffers while
+  // Stop() begins. Each must get a well-formed answer (200, or a clean
+  // 503 refusal), never a severed connection.
+  StartCluster(/*router_threads=*/2);
+  cluster_->search_delay_us(0)->store(400000);
+  int port = cluster_->router_port();
+
+  std::atomic<int> slow_ok{0};
+  std::vector<std::thread> slow;
+  for (int i = 0; i < 2; ++i) {
+    slow.emplace_back([&] {
+      server::HttpClient client("127.0.0.1", port);
+      client.set_timeout_ms(8000);
+      auto response = client.Post("/v1/search", kSlowSearch);
+      if (response.ok() && response.ValueUnsafe().status == 200) ++slow_ok;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  constexpr int kClients = 8;
+  std::vector<std::thread> clients;
+  std::atomic<int> answered{0};
+  std::atomic<int> refused{0};
+  std::atomic<int> dropped{0};
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&] {
+      server::HttpClient client("127.0.0.1", port);
+      client.set_timeout_ms(8000);
+      auto response = client.Get("/v1/models");
+      if (!response.ok()) {
+        dropped.fetch_add(1);
+      } else if (response.ValueUnsafe().status == 200) {
+        answered.fetch_add(1);
+      } else {
+        refused.fetch_add(1);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(cluster_->router()->Stop().ok());
+  for (auto& t : slow) t.join();
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(slow_ok.load(), 2);
+  EXPECT_EQ(answered.load() + refused.load(), kClients);
+  EXPECT_EQ(dropped.load(), 0);
+}
+
+TEST_F(RouterShutdownTest, NewConnectionsRefusedWhileDraining) {
+  StartCluster(/*router_threads=*/2);
+  cluster_->search_delay_us(0)->store(800000);
+  int port = cluster_->router_port();
+
+  // Hold the drain open with a slow search so we can probe mid-drain.
+  std::thread sleeper([&] {
+    server::HttpClient client("127.0.0.1", port);
+    client.set_timeout_ms(8000);
+    (void)client.Post("/v1/search", kSlowSearch);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+
+  std::thread stopper([&] { ASSERT_TRUE(cluster_->router()->Stop().ok()); });
+  while (!cluster_->router()->draining()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  server::HttpClient late("127.0.0.1", port);
+  late.set_timeout_ms(2000);
+  auto response = late.Get("/healthz");
+  // Either the listener is already gone (connect refused -> error) or,
+  // if a race admitted us, the answer is a clean 503 — never a hang.
+  if (response.ok()) {
+    EXPECT_EQ(response.ValueUnsafe().status, 503);
+  }
+
+  stopper.join();
+  sleeper.join();
+}
+
+TEST(RouterOptionsTest, NonPositiveDefaultDeadlineRejected) {
+  // Scatter legs inherit the request's remaining budget, so a router
+  // with no default deadline would answer 504 to every search.
+  for (int deadline_ms : {0, -5}) {
+    RouterOptions options;
+    options.backends.push_back(BackendSpec{"127.0.0.1", 1, 0});
+    options.default_deadline_ms = deadline_ms;
+    Router router(options);
+    Status started = router.Start();
+    EXPECT_TRUE(started.IsInvalidArgument())
+        << deadline_ms << ": " << started.ToString();
+    ASSERT_TRUE(router.Stop().ok());
+  }
 }
 
 }  // namespace
