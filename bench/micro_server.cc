@@ -371,9 +371,11 @@ int Main(int argc, char** argv) {
   meta.Set("scaling_note",
            "search_qps_scaling_16v1 is measured in the interactive mode "
            "(fixed 4 ms think time). search_qps_scaling_16v1_saturated is "
-           "the batched-ann saturated ratio: at c1 each request pays the "
-           "full batch window alone, at c16 the window amortizes over a "
-           "full batch answered by one SearchBatch probe.");
+           "the batched-ann saturated ratio: at c1 the leader waits out "
+           "the batch window only when the client's previous search "
+           "arrived within the window (nobody else can join it), at c16 "
+           "the window amortizes over a full batch answered by one "
+           "SearchBatch probe.");
   report.Set("meta", std::move(meta));
   report.Set("entries", std::move(entries));
 

@@ -4,7 +4,7 @@ namespace mlake::server {
 
 Result<std::vector<search::RankedModel>> SearchBatcher::RelatedModels(
     const std::string& id, size_t k) {
-  return RunBatched(&ann_forming_, id, k,
+  return RunBatched(&ann_, id, k,
                     [this](const std::vector<std::string>& ids, size_t kk) {
                       return lake_->RelatedModelsBatch(ids, kk);
                     });
@@ -12,7 +12,7 @@ Result<std::vector<search::RankedModel>> SearchBatcher::RelatedModels(
 
 Result<std::vector<std::pair<std::string, double>>>
 SearchBatcher::KeywordScores(const std::string& text, size_t k) {
-  return RunBatched(&keyword_forming_, text, k,
+  return RunBatched(&keyword_, text, k,
                     [this](const std::vector<std::string>& texts, size_t kk) {
                       return lake_->KeywordScoresBatch(texts, kk);
                     });
@@ -26,6 +26,7 @@ Json SearchBatcher::StatsJson() const {
   out.Set("max_batch", static_cast<int64_t>(options_.max_batch));
   out.Set("batches", batches_);
   out.Set("batched_requests", batched_requests_);
+  out.Set("closed_at_once", closed_at_once_);
   out.Set("occupancy", occupancy_.ToJson());
   return out;
 }

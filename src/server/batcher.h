@@ -10,10 +10,19 @@
 // member runs with the identical effective ef / over-fetch and results
 // stay bit-identical to solo execution):
 //
-//   FORMING  first arrival creates the group and becomes its leader;
-//            later arrivals append their query and wait. The leader
-//            sleeps up to batch_window_us, woken early when the group
-//            reaches max_batch.
+//   FORMING  first arrival creates the group and becomes its leader.
+//            The leader waits only when followers are plausible:
+//            another search of its kind (ann or keyword, any k)
+//            arrived less than batch_window_us before it. Then it
+//            publishes the group, later arrivals append their query
+//            and wait, and the leader sleeps up to batch_window_us,
+//            woken early when the group reaches max_batch. Otherwise
+//            (a lone request) it closes the group at once and probes.
+//            Each arrival, leader or follower, records its time as
+//            its kind's last arrival. Known limit: one closed-loop
+//            client whose requests come faster than the window still
+//            waits on every other request (nobody can join it), which
+//            is no worse than waiting on every request.
 //   CLOSED   the leader detaches the group from the forming map (new
 //            arrivals start a fresh group) and executes one
 //            ModelLake::*Batch probe outside the batcher lock.
@@ -42,7 +51,9 @@
 namespace mlake::server {
 
 struct BatcherOptions {
-  /// How long a batch leader waits for followers before probing.
+  /// Upper bound on how long a batch leader waits for followers. A
+  /// leader with no search of its kind in the last window does not
+  /// wait at all (see FORMING above).
   int64_t batch_window_us = 250;
   /// A full group probes immediately without waiting out the window.
   size_t max_batch = 16;
@@ -65,7 +76,9 @@ class SearchBatcher {
       const std::string& text, size_t k);
 
   /// {"window_us", "max_batch", "batches", "batched_requests",
-  ///  "occupancy": SizeHistogram json} — the /statsz batching block.
+  ///  "closed_at_once", "occupancy": SizeHistogram json} — the /statsz
+  /// batching block. "closed_at_once" counts groups whose leader found
+  /// no recent company and probed without waiting.
   Json StatsJson() const;
 
  private:
@@ -80,14 +93,29 @@ class SearchBatcher {
     std::condition_variable cv;
   };
 
+  /// One search kind's forming groups (keyed by k) and the arrival
+  /// time of its latest search, which gates the leader's wait.
+  template <typename R>
+  struct Kind {
+    std::map<size_t, std::shared_ptr<Group<R>>> forming;
+    std::chrono::steady_clock::time_point last_arrival =
+        std::chrono::steady_clock::time_point::min();
+  };
+
   /// The leader/follower protocol, shared by both search kinds.
   /// `probe(keys, k)` is the lake's batch call; it runs outside mu_.
   template <typename R, typename Probe>
-  Result<R> RunBatched(std::map<size_t, std::shared_ptr<Group<R>>>* forming,
-                       const std::string& key, size_t k, Probe&& probe) {
+  Result<R> RunBatched(Kind<R>* kind, const std::string& key, size_t k,
+                       Probe&& probe) {
     std::unique_lock<std::mutex> lock(mu_);
-    auto it = forming->find(k);
-    if (it != forming->end() && !it->second->closed &&
+    const auto window = std::chrono::microseconds(options_.batch_window_us);
+    const auto arrival = std::chrono::steady_clock::now();
+    // Written as last + window so the min() sentinel cannot overflow.
+    const bool company = arrival < kind->last_arrival + window;
+    kind->last_arrival = arrival;
+    auto& forming = kind->forming;
+    auto it = forming.find(k);
+    if (it != forming.end() && !it->second->closed &&
         it->second->keys.size() < options_.max_batch) {
       // ---- follower: join, maybe complete the batch, await results.
       std::shared_ptr<Group<R>> group = it->second;
@@ -95,24 +123,28 @@ class SearchBatcher {
       group->keys.push_back(key);
       if (group->keys.size() >= options_.max_batch) {
         group->closed = true;
-        forming->erase(k);
+        forming.erase(k);
         group->cv.notify_all();  // wake the leader early
       }
       group->cv.wait(lock, [&] { return group->done; });
       return std::move(group->results[slot]);
     }
-    // ---- leader: open a group, wait out the window, probe, publish.
+    // ---- leader: open a group; wait out the window only if another
+    // search of this kind came recently, else probe at once; publish.
     auto group = std::make_shared<Group<R>>();
     group->keys.push_back(key);
-    (*forming)[k] = group;
-    group->cv.wait_for(lock, std::chrono::microseconds(options_.batch_window_us),
-                       [&] { return group->closed; });
-    if (!group->closed) {
-      group->closed = true;
-      auto self = forming->find(k);
-      if (self != forming->end() && self->second == group) {
-        forming->erase(self);
+    if (company) {
+      forming[k] = group;
+      group->cv.wait_for(lock, window, [&] { return group->closed; });
+      if (!group->closed) {
+        group->closed = true;
+        auto self = forming.find(k);
+        if (self != forming.end() && self->second == group) {
+          forming.erase(self);
+        }
       }
+    } else {
+      ++closed_at_once_;  // never published, so nobody can join it
     }
     std::vector<std::string> keys = group->keys;
     lock.unlock();
@@ -133,13 +165,11 @@ class SearchBatcher {
   /// One lock for group formation and stats; the probe itself runs
   /// unlocked, so a slow index call never blocks other groups forming.
   mutable std::mutex mu_;
-  std::map<size_t, std::shared_ptr<Group<std::vector<search::RankedModel>>>>
-      ann_forming_;
-  std::map<size_t, std::shared_ptr<
-                       Group<std::vector<std::pair<std::string, double>>>>>
-      keyword_forming_;
+  Kind<std::vector<search::RankedModel>> ann_;
+  Kind<std::vector<std::pair<std::string, double>>> keyword_;
   uint64_t batches_ = 0;
   uint64_t batched_requests_ = 0;
+  uint64_t closed_at_once_ = 0;
   SizeHistogram occupancy_;
 };
 

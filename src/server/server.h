@@ -115,6 +115,10 @@ struct ServerOptions : HttpServerOptions {
   /// var MLAKE_TEST_BATCH_WINDOW_US (set by the TSan CI job) overrides
   /// the window and forces batching on.
   bool enable_batching = true;
+  /// Upper bound on a batch leader's wait for followers. The leader
+  /// waits only if another search of its kind arrived within the last
+  /// window; a lone request probes at once. A single closed-loop
+  /// client faster than the window still waits on every other request.
   int64_t batch_window_us = 250;
   int max_batch = 16;
   /// Cluster identity. shard_id >= 0 marks this backend as shard

@@ -281,6 +281,57 @@ TEST_F(RouterShutdownTest, NewConnectionsRefusedWhileDraining) {
   sleeper.join();
 }
 
+// ---------------------------------------------------------------------------
+// Point lookups: the owner's 2xx answers the request, whatever the other
+// legs do; with no 2xx, a leg that could not answer makes the lookup an
+// error, because its shard might own the id.
+// ---------------------------------------------------------------------------
+
+TEST(RouterPointLookupTest, OwnerAnswersWhileANonOwnerShardIsDown) {
+  std::string dir = MakeTempDir("mlake-router-lookup").ValueOrDie();
+  InProcessClusterOptions options;
+  options.shards = 3;
+  options.lake_options.input_dim = kDim;
+  options.lake_options.num_classes = kClasses;
+  options.server_options.threads = 16;
+  options.router_options.heartbeat_interval_ms = 60000;
+  auto cluster =
+      InProcessCluster::Create(dir, std::move(options)).MoveValueUnsafe();
+
+  Rng rng(11);
+  auto model = nn::BuildModel(nn::MlpSpec(kDim, {16}, kClasses), &rng)
+                   .MoveValueUnsafe();
+  std::string bytes = storage::SerializeArtifact(
+      storage::ArtifactFromModel(*model, Json::MakeObject()));
+  metadata::ModelCard card;
+  card.model_id = "lookup-0";
+  card.name = card.model_id;
+  card.task = "sum";
+  auto ingested = cluster->IngestArtifact(bytes, card);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  const std::string id = ingested.ValueUnsafe();
+
+  // Stop one shard that does not own the model; it has no replica.
+  size_t owner = cluster->OwnerShard(bytes);
+  size_t down = (owner + 1) % cluster->shards();
+  ASSERT_TRUE(cluster->server(down)->Stop().ok());
+
+  server::HttpClient client("127.0.0.1", cluster->router_port());
+  client.set_timeout_ms(10000);
+  auto found = client.Get("/v1/models/" + id);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(found.ValueUnsafe().status, 200) << found.ValueUnsafe().body;
+  EXPECT_NE(found.ValueUnsafe().body.find(id), std::string::npos);
+
+  auto missing = client.Get("/v1/models/no-such-model");
+  ASSERT_TRUE(missing.ok()) << missing.status().ToString();
+  EXPECT_GE(missing.ValueUnsafe().status, 500) << missing.ValueUnsafe().body;
+
+  ASSERT_TRUE(cluster->Stop().ok());
+  cluster.reset();
+  ASSERT_TRUE(RemoveAll(dir).ok());
+}
+
 TEST(RouterOptionsTest, NonPositiveDefaultDeadlineRejected) {
   // Scatter legs inherit the request's remaining budget, so a router
   // with no default deadline would answer 504 to every search.

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <set>
@@ -333,6 +334,54 @@ TEST(ServerConcurrencyTest, BatchedSearchMatchesSoloOracle) {
   EXPECT_GT(batched_requests, batches);
   ASSERT_NE(batching->Find("occupancy"), nullptr);
   EXPECT_EQ(batching->Find("occupancy")->GetInt64("count", -1), batches);
+
+  ASSERT_TRUE(server.Stop().ok());
+  lake.reset();
+  ASSERT_TRUE(RemoveAll(dir).ok());
+}
+
+// The batcher's leader waits for followers only when another search of
+// its kind arrived within the last window. On an idle server a lone ann
+// search and a lone keyword search each probe at once, even with a
+// two-second window, and /statsz counts both groups as closed at once.
+TEST(ServerConcurrencyTest, LoneSearchSkipsBatchWindow) {
+  auto dir = MakeTempDir("mlake-server-lone").ValueOrDie();
+  core::LakeOptions lake_options;
+  lake_options.root = dir;
+  lake_options.input_dim = kDim;
+  lake_options.num_classes = kClasses;
+  auto lake = core::ModelLake::Open(lake_options).MoveValueUnsafe();
+  for (int i = 0; i < 2; ++i) {
+    auto model = TrainSmall(300 + static_cast<uint64_t>(i));
+    ASSERT_TRUE(
+        lake->IngestModel(*model, CardFor("lone" + std::to_string(i))).ok());
+  }
+
+  ServerOptions options;
+  options.threads = 4;
+  options.enable_batching = true;
+  options.batch_window_us = 2000000;
+  LakeServer server(lake.get(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  HttpClient client("127.0.0.1", server.port());
+  client.set_timeout_ms(20000);
+  for (const char* body : {R"({"type": "ann", "id": "lone0", "k": 2})",
+                           R"({"type": "keyword", "query": "sum legal", "k": 2})"}) {
+    auto start = std::chrono::steady_clock::now();
+    auto response = client.Post("/v1/search", body);
+    auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.ValueUnsafe().status, 200) << response.ValueUnsafe().body;
+    EXPECT_LT(elapsed, std::chrono::seconds(1)) << body;
+  }
+
+  auto statsz = client.Get("/statsz");
+  ASSERT_TRUE(statsz.ok());
+  auto parsed = Json::Parse(statsz.ValueUnsafe().body).ValueOrDie();
+  const Json* batching = parsed.Find("batching");
+  ASSERT_NE(batching, nullptr);
+  EXPECT_GE(batching->GetInt64("closed_at_once", 0), 2);
 
   ASSERT_TRUE(server.Stop().ok());
   lake.reset();

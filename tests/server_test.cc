@@ -416,8 +416,17 @@ TEST(ServerAdmissionTest, InflightBoundAnswers429) {
     EXPECT_EQ(response.ValueUnsafe().status, 200);
   });
 
-  // Wait until the occupant is actually inside the handler.
+  // Wait until the occupant holds the slot. The heartbeat is exempt
+  // from admission, so polling it cannot take the slot itself (a
+  // counted probe could, and the occupant would then get the 429).
   HttpClient prober("127.0.0.1", server.port());
+  for (int i = 0; i < 400; ++i) {
+    auto heartbeat = prober.Get("/v1/heartbeat");
+    ASSERT_TRUE(heartbeat.ok()) << heartbeat.status().ToString();
+    auto body = Json::Parse(heartbeat.ValueUnsafe().body).ValueOrDie();
+    if (body.GetInt64("inflight") >= 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   bool saw_reject = false;
   for (int i = 0; i < 200 && !saw_reject; ++i) {
     auto response = prober.Get("/v1/models");
