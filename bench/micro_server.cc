@@ -5,11 +5,12 @@
 // in-process LakeServer closed-loop from 1 / 4 / 16 concurrent HTTP
 // clients on loopback, in two phases:
 //
-//   phase 1 (solo)     batching disabled. Re-measures the historical
+//   phase 1 (solo)     batch window 0, so every search probes alone
+//                      (a batch of one). Re-measures the historical
 //                      entries (keyword saturated/interactive, ann,
 //                      model_get) so the series stays comparable, and
 //                      records a per-body response oracle.
-//   phase 2 (batched)  batching enabled (window + max_batch below) on
+//   phase 2 (batched)  batch window and max_batch below, on
 //                      the same lake. Measures the batched ann and
 //                      keyword saturated paths at c1 and c16, then
 //                      replays the oracle bodies and verifies every
@@ -232,12 +233,12 @@ int Main(int argc, char** argv) {
                        keyword_bodies.end());
   std::map<std::string, std::string> oracle;
 
-  // ---- phase 1: batching disabled --------------------------------------
+  // ---- phase 1: window 0, every search probes alone --------------------
   {
     server::ServerOptions options;
     options.threads = 18;  // >= the largest client count (thread-per-conn)
     options.max_inflight = 64;
-    options.enable_batching = false;
+    options.batch_window_us = 0;
     server::LakeServer server(lake.get(), options);
     Check(server.Start(), "LakeServer::Start (solo)");
 
@@ -290,13 +291,12 @@ int Main(int argc, char** argv) {
     Check(server.Stop(), "LakeServer::Stop (solo)");
   }
 
-  // ---- phase 2: batching enabled ---------------------------------------
+  // ---- phase 2: batched ------------------------------------------------
   bool batched_identical = true;
   {
     server::ServerOptions options;
     options.threads = 18;
     options.max_inflight = 64;
-    options.enable_batching = true;
     options.batch_window_us = kBatchWindowUs;
     options.max_batch = kMaxBatch;
     server::LakeServer server(lake.get(), options);

@@ -1924,28 +1924,65 @@ Result<versioning::HeritageResult> ModelLake::RecoverHeritage(
   return versioning::RecoverHeritage(summaries, effective);
 }
 
+// ------------------------------------------------------------ search view
+
+class ModelLake::SearchView : public search::SearchContext {
+ public:
+  SearchView(const ModelLake& lake, const search::SearchOverlay& overlay)
+      : lake_(lake), overlay_(overlay) {}
+
+  std::vector<std::string> AllModelIds() const override {
+    return lake_.SearchableModelIdsUnlocked();
+  }
+  CatalogStats Stats() const override { return lake_.StatsUnlocked(); }
+  Result<metadata::ModelCard> CardFor(const std::string& id) const override {
+    return lake_.CardForUnlocked(id);
+  }
+  Result<std::vector<float>> EmbeddingFor(
+      const std::string& id) const override {
+    // Local first: a model the shard owns always resolves locally, so
+    // an overlay can never shadow (or corrupt) owned state. The hint
+    // only fills lookups that would otherwise fail — off-shard query
+    // models.
+    auto local = lake_.EmbeddingForUnlocked(id);
+    if (local.ok()) return local;
+    auto it = overlay_.embeddings.find(id);
+    if (it != overlay_.embeddings.end()) return it->second;
+    return local;
+  }
+  Result<std::vector<std::pair<std::string, float>>> NearestModels(
+      const std::vector<float>& query, size_t k) const override {
+    return lake_.NearestModelsUnlocked(query, k);
+  }
+  /// The overlay's exact text is scored with its global BM25 stats.
+  Result<std::vector<std::pair<std::string, double>>> KeywordScores(
+      const std::string& text, size_t k) const override {
+    bool global = overlay_.has_bm25 && text == overlay_.bm25_text;
+    return lake_.KeywordScoresUnlocked(
+        text, k, global ? &overlay_.bm25_stats : nullptr);
+  }
+  Result<std::vector<std::pair<std::string, double>>> TrainedOn(
+      const std::string& dataset, double min_overlap) const override {
+    return lake_.TrainedOnUnlocked(dataset, min_overlap);
+  }
+  bool IsDescendantOf(const std::string& id,
+                      const std::string& ancestor) const override {
+    return lake_.IsDescendantOfUnlocked(id, ancestor);
+  }
+
+ private:
+  const ModelLake& lake_;
+  const search::SearchOverlay& overlay_;
+};
+
 // ---------------------------------------------------------------- search
 
-Result<search::QueryResult> ModelLake::Query(std::string_view mlql) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  MLAKE_ASSIGN_OR_RETURN(std::shared_ptr<const search::Query> plan,
-                         CachedPlanUnlocked(mlql));
-  UnlockedView view(this);
-  MLAKE_ASSIGN_OR_RETURN(search::QueryResult result,
-                         search::ExecuteQuery(view, *plan));
-  {
-    std::lock_guard<std::mutex> plan_lock(plan_mu_);
-    last_plan_ = result.plan;
-  }
-  return result;
-}
-
-Result<search::QueryResult> ModelLake::QueryWithOverlay(
+Result<search::QueryResult> ModelLake::Query(
     std::string_view mlql, const search::SearchOverlay& overlay) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   MLAKE_ASSIGN_OR_RETURN(std::shared_ptr<const search::Query> plan,
                          CachedPlanUnlocked(mlql));
-  OverlayView view(this, &overlay);
+  SearchView view(*this, overlay);
   MLAKE_ASSIGN_OR_RETURN(search::QueryResult result,
                          search::ExecuteQuery(view, *plan));
   {
@@ -1964,8 +2001,7 @@ Result<std::vector<std::pair<std::string, double>>>
 ModelLake::KeywordScoresWithStats(const std::string& text, size_t k,
                                   const index::Bm25Stats& stats) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return MapTextHitsUnlocked(
-      bm25_.SearchWithStats(text, k + degraded_.size(), stats), k);
+  return KeywordScoresUnlocked(text, k, &stats);
 }
 
 Result<std::vector<search::RankedModel>> ModelLake::RelatedModelsByVector(
@@ -1983,8 +2019,8 @@ Result<std::vector<search::HybridCandidate>> ModelLake::HybridParts(
   std::shared_lock<std::shared_mutex> lock(mu_);
   MLAKE_ASSIGN_OR_RETURN(std::shared_ptr<const search::Query> plan,
                          CachedPlanUnlocked(mlql));
-  UnlockedView view(this);
-  return search::CollectHybridParts(view, *plan, query_vec);
+  search::SearchOverlay none;
+  return search::CollectHybridParts(SearchView(*this, none), *plan, query_vec);
 }
 
 uint64_t ModelLake::IndexGeneration() const {
@@ -2262,8 +2298,12 @@ std::vector<std::pair<std::string, double>> ModelLake::MapTextHitsUnlocked(
 }
 
 Result<std::vector<std::pair<std::string, double>>>
-ModelLake::KeywordScoresUnlocked(const std::string& text, size_t k) const {
-  return MapTextHitsUnlocked(bm25_.Search(text, k + degraded_.size()), k);
+ModelLake::KeywordScoresUnlocked(const std::string& text, size_t k,
+                                 const index::Bm25Stats* stats) const {
+  size_t fetch = k + degraded_.size();
+  return MapTextHitsUnlocked(stats ? bm25_.SearchWithStats(text, fetch, *stats)
+                                   : bm25_.Search(text, fetch),
+                             k);
 }
 
 Result<std::vector<std::pair<std::string, double>>> ModelLake::KeywordScores(
@@ -2321,97 +2361,6 @@ bool ModelLake::IsDescendantOfUnlocked(const std::string& id,
   std::vector<std::string> descendants = graph_.Descendants(ancestor);
   return std::find(descendants.begin(), descendants.end(), id) !=
          descendants.end();
-}
-
-bool ModelLake::IsDescendantOf(const std::string& id,
-                               const std::string& ancestor) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return IsDescendantOfUnlocked(id, ancestor);
-}
-
-// ------------------------------------------------------- unlocked view
-
-std::vector<std::string> ModelLake::UnlockedView::AllModelIds() const {
-  return lake_->SearchableModelIdsUnlocked();
-}
-search::SearchContext::CatalogStats ModelLake::UnlockedView::Stats() const {
-  return lake_->StatsUnlocked();
-}
-Result<metadata::ModelCard> ModelLake::UnlockedView::CardFor(
-    const std::string& id) const {
-  return lake_->CardForUnlocked(id);
-}
-Result<std::vector<float>> ModelLake::UnlockedView::EmbeddingFor(
-    const std::string& id) const {
-  return lake_->EmbeddingForUnlocked(id);
-}
-Result<std::vector<std::pair<std::string, float>>>
-ModelLake::UnlockedView::NearestModels(const std::vector<float>& query,
-                                       size_t k) const {
-  return lake_->NearestModelsUnlocked(query, k);
-}
-Result<std::vector<std::pair<std::string, double>>>
-ModelLake::UnlockedView::KeywordScores(const std::string& text,
-                                       size_t k) const {
-  return lake_->KeywordScoresUnlocked(text, k);
-}
-Result<std::vector<std::pair<std::string, double>>>
-ModelLake::UnlockedView::TrainedOn(const std::string& dataset,
-                                   double min_overlap) const {
-  return lake_->TrainedOnUnlocked(dataset, min_overlap);
-}
-bool ModelLake::UnlockedView::IsDescendantOf(
-    const std::string& id, const std::string& ancestor) const {
-  return lake_->IsDescendantOfUnlocked(id, ancestor);
-}
-
-// ------------------------------------------------------- overlay view
-
-std::vector<std::string> ModelLake::OverlayView::AllModelIds() const {
-  return lake_->SearchableModelIdsUnlocked();
-}
-search::SearchContext::CatalogStats ModelLake::OverlayView::Stats() const {
-  return lake_->StatsUnlocked();
-}
-Result<metadata::ModelCard> ModelLake::OverlayView::CardFor(
-    const std::string& id) const {
-  return lake_->CardForUnlocked(id);
-}
-Result<std::vector<float>> ModelLake::OverlayView::EmbeddingFor(
-    const std::string& id) const {
-  // Local first: a model the shard owns always resolves locally, so an
-  // overlay can never shadow (or corrupt) owned state. The hint only
-  // fills lookups that would otherwise fail — off-shard query models.
-  auto local = lake_->EmbeddingForUnlocked(id);
-  if (local.ok()) return local;
-  auto it = overlay_->embeddings.find(id);
-  if (it != overlay_->embeddings.end()) return it->second;
-  return local;
-}
-Result<std::vector<std::pair<std::string, float>>>
-ModelLake::OverlayView::NearestModels(const std::vector<float>& query,
-                                      size_t k) const {
-  return lake_->NearestModelsUnlocked(query, k);
-}
-Result<std::vector<std::pair<std::string, double>>>
-ModelLake::OverlayView::KeywordScores(const std::string& text,
-                                      size_t k) const {
-  if (overlay_->has_bm25 && text == overlay_->bm25_text) {
-    return lake_->MapTextHitsUnlocked(
-        lake_->bm25_.SearchWithStats(text, k + lake_->degraded_.size(),
-                                     overlay_->bm25_stats),
-        k);
-  }
-  return lake_->KeywordScoresUnlocked(text, k);
-}
-Result<std::vector<std::pair<std::string, double>>>
-ModelLake::OverlayView::TrainedOn(const std::string& dataset,
-                                  double min_overlap) const {
-  return lake_->TrainedOnUnlocked(dataset, min_overlap);
-}
-bool ModelLake::OverlayView::IsDescendantOf(
-    const std::string& id, const std::string& ancestor) const {
-  return lake_->IsDescendantOfUnlocked(id, ancestor);
 }
 
 // ----------------------------------------------------------- benchmarking

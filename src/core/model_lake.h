@@ -206,7 +206,7 @@ struct CardIngest {
 ///   - Exceptions: `graph()`, `catalog()` and `probes()` hand out
 ///     direct references and are only safe while no ingest runs
 ///     concurrently; they exist for tools and tests.
-class ModelLake : public search::SearchContext {
+class ModelLake {
  public:
   /// Opens (or creates) a lake at options.root, rebuilding in-memory
   /// indices from the catalog (parallelized over options.exec).
@@ -216,7 +216,7 @@ class ModelLake : public search::SearchContext {
   ModelLake& operator=(const ModelLake&) = delete;
 
   /// Stops the background compactor (waiting for an in-flight pass).
-  ~ModelLake() override;
+  ~ModelLake();
 
   // ------------------------------------------------------------ ingest
 
@@ -334,17 +334,15 @@ class ModelLake : public search::SearchContext {
   // ------------------------------------------------------------ search
 
   /// Executes an MLQL query. The shared lock is held once for the
-  /// whole plan, so the result is a consistent snapshot.
-  Result<search::QueryResult> Query(std::string_view mlql) const;
-
-  /// Query() with cross-shard context (search::SearchOverlay): hint
-  /// embeddings for off-shard model ids and global BM25 statistics.
-  /// With a default-constructed overlay this is exactly Query(). The
-  /// cluster scatter path — each shard answers with scores
-  /// bit-identical to the merged lake's, so the router's (score desc,
-  /// id asc) merge of per-shard top-k is the merged lake's top-k.
-  Result<search::QueryResult> QueryWithOverlay(
-      std::string_view mlql, const search::SearchOverlay& overlay) const;
+  /// whole plan, so the result is a consistent snapshot. `overlay`
+  /// carries cross-shard context (search::SearchOverlay): hint
+  /// embeddings for off-shard model ids and global BM25 statistics;
+  /// the default overlay carries none. The cluster scatter path — each
+  /// shard answers with scores bit-identical to the merged lake's, so
+  /// the router's (score desc, id asc) merge of per-shard top-k is the
+  /// merged lake's top-k.
+  Result<search::QueryResult> Query(
+      std::string_view mlql, const search::SearchOverlay& overlay = {}) const;
 
   /// This shard's integer contribution to `text`'s BM25 corpus
   /// statistics (phase 1 of distributed keyword search; contributions
@@ -401,27 +399,23 @@ class ModelLake : public search::SearchContext {
       const std::string& text, const std::string& query_model_id,
       size_t k) const;
 
-  // SearchContext implementation (used by the MLQL executor). Each
-  // call takes the shared lock itself; `Query` instead holds the lock
-  // once and executes against an internal unlocked view (shared_mutex
-  // is not reentrant, so nesting would deadlock against a waiting
-  // writer).
-  std::vector<std::string> AllModelIds() const override;
+  // Single-call search reads. Each takes the shared lock itself;
+  // `Query` instead holds the lock once and executes against the
+  // internal unlocked SearchView (shared_mutex is not reentrant, so
+  // nesting would deadlock against a waiting writer).
+  std::vector<std::string> AllModelIds() const;
   /// Catalog statistics for the MLQL cost-based planner: model count,
   /// index live sizes, and per-field value histograms. Rebuilt lazily —
   /// one O(n) card scan per mutation epoch, then served from cache.
-  search::SearchContext::CatalogStats Stats() const override;
-  Result<metadata::ModelCard> CardFor(const std::string& id) const override;
-  Result<std::vector<float>> EmbeddingFor(
-      const std::string& id) const override;
+  search::SearchContext::CatalogStats Stats() const;
+  Result<metadata::ModelCard> CardFor(const std::string& id) const;
+  Result<std::vector<float>> EmbeddingFor(const std::string& id) const;
   Result<std::vector<std::pair<std::string, float>>> NearestModels(
-      const std::vector<float>& query, size_t k) const override;
+      const std::vector<float>& query, size_t k) const;
   Result<std::vector<std::pair<std::string, double>>> KeywordScores(
-      const std::string& text, size_t k) const override;
+      const std::string& text, size_t k) const;
   Result<std::vector<std::pair<std::string, double>>> TrainedOn(
-      const std::string& dataset, double min_overlap) const override;
-  bool IsDescendantOf(const std::string& id,
-                      const std::string& ancestor) const override;
+      const std::string& dataset, double min_overlap) const;
 
   // ------------------------------------------------------ replication
   // (Meaningful when options().replication_log is set; see
@@ -643,57 +637,11 @@ class ModelLake : public search::SearchContext {
   const storage::Catalog* catalog() const { return catalog_.get(); }
 
  private:
-  /// SearchContext view without locking — what `Query` (and other
-  /// composite reads that already hold the shared lock) executes
-  /// against.
-  class UnlockedView : public search::SearchContext {
-   public:
-    explicit UnlockedView(const ModelLake* lake) : lake_(lake) {}
-    std::vector<std::string> AllModelIds() const override;
-    search::SearchContext::CatalogStats Stats() const override;
-    Result<metadata::ModelCard> CardFor(const std::string& id) const override;
-    Result<std::vector<float>> EmbeddingFor(
-        const std::string& id) const override;
-    Result<std::vector<std::pair<std::string, float>>> NearestModels(
-        const std::vector<float>& query, size_t k) const override;
-    Result<std::vector<std::pair<std::string, double>>> KeywordScores(
-        const std::string& text, size_t k) const override;
-    Result<std::vector<std::pair<std::string, double>>> TrainedOn(
-        const std::string& dataset, double min_overlap) const override;
-    bool IsDescendantOf(const std::string& id,
-                        const std::string& ancestor) const override;
-
-   private:
-    const ModelLake* lake_;
-  };
-
-  /// UnlockedView plus a SearchOverlay: EmbeddingFor falls back to the
-  /// overlay's hint vectors when the local lookup misses, and
-  /// KeywordScores on the overlay's exact text is answered with the
-  /// overlay's global BM25 statistics. Everything else delegates
-  /// unchanged.
-  class OverlayView : public search::SearchContext {
-   public:
-    OverlayView(const ModelLake* lake, const search::SearchOverlay* overlay)
-        : lake_(lake), overlay_(overlay) {}
-    std::vector<std::string> AllModelIds() const override;
-    search::SearchContext::CatalogStats Stats() const override;
-    Result<metadata::ModelCard> CardFor(const std::string& id) const override;
-    Result<std::vector<float>> EmbeddingFor(
-        const std::string& id) const override;
-    Result<std::vector<std::pair<std::string, float>>> NearestModels(
-        const std::vector<float>& query, size_t k) const override;
-    Result<std::vector<std::pair<std::string, double>>> KeywordScores(
-        const std::string& text, size_t k) const override;
-    Result<std::vector<std::pair<std::string, double>>> TrainedOn(
-        const std::string& dataset, double min_overlap) const override;
-    bool IsDescendantOf(const std::string& id,
-                        const std::string& ancestor) const override;
-
-   private:
-    const ModelLake* lake_;
-    const search::SearchOverlay* overlay_;
-  };
+  /// The lake's one search::SearchContext: unlocked reads plus a
+  /// SearchOverlay — what `Query` and `HybridParts` (composite reads
+  /// that already hold the shared lock) execute against. Defined in
+  /// model_lake.cc.
+  class SearchView;
 
   explicit ModelLake(LakeOptions options) : options_(std::move(options)) {}
 
@@ -822,8 +770,11 @@ class ModelLake : public search::SearchContext {
   /// of KeywordScoresUnlocked and the batch probe.
   std::vector<std::pair<std::string, double>> MapTextHitsUnlocked(
       const std::vector<index::TextHit>& hits, size_t k) const;
+  /// BM25 top-k scored with `stats` as the corpus statistics when
+  /// given, else with this lake's own.
   Result<std::vector<std::pair<std::string, double>>> KeywordScoresUnlocked(
-      const std::string& text, size_t k) const;
+      const std::string& text, size_t k,
+      const index::Bm25Stats* stats = nullptr) const;
   /// Lazily (re)computes the planner's catalog statistics for the
   /// current mutation epoch. Caller holds mu_ (shared suffices:
   /// stats_mu_ serializes the rebuild).

@@ -122,9 +122,17 @@ void InvertedIndex::Remove(const std::string& doc_id) {
 
 std::vector<TextHit> InvertedIndex::Search(std::string_view query,
                                            size_t k) const {
-  std::vector<std::vector<TextHit>> batch =
-      SearchBatch({std::string(query)}, k);
-  return std::move(batch[0]);
+  return std::move(Score({std::string(query)}, k, nullptr)[0]);
+}
+
+std::vector<std::vector<TextHit>> InvertedIndex::SearchBatch(
+    const std::vector<std::string>& queries, size_t k) const {
+  return Score(queries, k, nullptr);
+}
+
+std::vector<TextHit> InvertedIndex::SearchWithStats(
+    std::string_view query, size_t k, const Bm25Stats& stats) const {
+  return std::move(Score({std::string(query)}, k, &stats)[0]);
 }
 
 void Bm25Stats::Merge(const Bm25Stats& other) {
@@ -139,130 +147,61 @@ Bm25Stats InvertedIndex::CollectStats(std::string_view query) const {
   stats.total_tokens = total_tokens_ + base_tokens_;
   for (const std::string& term : TokenizeWords(query)) {
     auto [it, fresh] = stats.df.try_emplace(term, uint64_t{0});
-    if (!fresh) continue;
-    uint64_t df = 0;
-    if (base_terms_ > 0) {
-      int64_t t = BaseTermIndex(term);
-      if (t >= 0) {
-        for (uint64_t p = bpost_off_[t]; p < bpost_off_[t + 1]; ++p) {
-          uint32_t doc = bpost_[2 * p];
-          if (doc >= base_docs_ || BaseDocDead(doc)) continue;
-          ++df;
-        }
-      }
-    }
-    auto pit = postings_.find(term);
-    if (pit != postings_.end()) df += pit->second.size();
-    it->second = df;
+    if (fresh) it->second = GatherLive(term).df();
   }
   return stats;
 }
 
-std::vector<TextHit> InvertedIndex::SearchWithStats(
-    std::string_view query, size_t k, const Bm25Stats& stats) const {
-  std::vector<TextHit> hits;
-  if (stats.live_docs == 0) return hits;
-  // Corpus constants come from `stats` instead of this segment pair;
-  // both are double-of-integer, so local stats reproduce Search's
-  // arithmetic exactly.
-  double avg_len = static_cast<double>(stats.total_tokens) /
-                   static_cast<double>(stats.live_docs);
-  if (avg_len <= 0.0) avg_len = 1.0;
-  double n_docs = static_cast<double>(stats.live_docs);
-  std::vector<std::string> terms = TokenizeWords(query);
-  if (terms.empty()) return hits;
-
-  struct TermScore {
-    bool live = false;
-    double idf = 0.0;
-    std::vector<std::pair<uint32_t, uint32_t>> base_posts;  // (doc, tf)
-    const std::vector<Posting>* delta = nullptr;
-  };
-  std::unordered_map<std::string, TermScore> cache;
-  std::unordered_map<uint64_t, double> scores;
-  for (const std::string& term : terms) {
-    auto [cit, fresh] = cache.try_emplace(term);
-    TermScore& ts = cit->second;
-    if (fresh) {
-      if (base_terms_ > 0) {
-        int64_t t = BaseTermIndex(term);
-        if (t >= 0) {
-          for (uint64_t p = bpost_off_[t]; p < bpost_off_[t + 1]; ++p) {
-            uint32_t doc = bpost_[2 * p];
-            uint32_t tf = bpost_[2 * p + 1];
-            if (doc >= base_docs_) continue;  // corrupt posting: skip
-            if (BaseDocDead(doc)) continue;
-            ts.base_posts.emplace_back(doc, tf);
-          }
-        }
-      }
-      auto it = postings_.find(term);
-      if (it != postings_.end()) ts.delta = &it->second;
-      auto dit = stats.df.find(term);
-      double df =
-          dit == stats.df.end() ? 0.0 : static_cast<double>(dit->second);
-      if (df > 0.0) {
-        ts.live = true;
-        ts.idf = std::log(1.0 + (n_docs - df + 0.5) / (df + 0.5));
-      }
-    }
-    if (!ts.live) continue;
-    double idf = ts.idf;
-    for (const auto& [doc, tf_raw] : ts.base_posts) {
-      double tf = static_cast<double>(tf_raw);
-      double len_norm =
-          1.0 - b_ + b_ * static_cast<double>(bdoc_len_[doc]) / avg_len;
-      scores[doc] += idf * (tf * (k1_ + 1.0)) / (tf + k1_ * len_norm);
-    }
-    if (ts.delta != nullptr) {
-      for (const Posting& p : *ts.delta) {
-        if (doc_lengths_[p.doc] == 0) continue;  // removed
-        double tf = static_cast<double>(p.term_frequency);
-        double len_norm =
-            1.0 - b_ +
-            b_ * static_cast<double>(doc_lengths_[p.doc]) / avg_len;
-        scores[base_docs_ + p.doc] +=
-            idf * (tf * (k1_ + 1.0)) / (tf + k1_ * len_norm);
+InvertedIndex::LivePostings InvertedIndex::GatherLive(
+    const std::string& term) const {
+  LivePostings live;
+  if (base_terms_ > 0) {
+    int64_t t = BaseTermIndex(term);
+    if (t >= 0) {
+      for (uint64_t p = bpost_off_[t]; p < bpost_off_[t + 1]; ++p) {
+        uint32_t doc = bpost_[2 * p];
+        if (doc >= base_docs_) continue;  // corrupt posting: skip
+        if (BaseDocDead(doc)) continue;
+        live.base.emplace_back(doc, bpost_[2 * p + 1]);
       }
     }
   }
-
-  hits.reserve(scores.size());
-  for (const auto& [handle, score] : scores) {
-    std::string id = handle < base_docs_ ? std::string(BaseDocId(handle))
-                                         : doc_ids_[handle - base_docs_];
-    hits.push_back(TextHit{std::move(id), score});
-  }
-  std::sort(hits.begin(), hits.end(), [](const TextHit& a, const TextHit& b) {
-    return a.score > b.score || (a.score == b.score && a.doc_id < b.doc_id);
-  });
-  if (hits.size() > k) hits.resize(k);
-  return hits;
+  auto it = postings_.find(term);
+  if (it != postings_.end()) live.delta = &it->second;
+  return live;
 }
 
-std::vector<std::vector<TextHit>> InvertedIndex::SearchBatch(
-    const std::vector<std::string>& queries, size_t k) const {
+std::vector<std::vector<TextHit>> InvertedIndex::Score(
+    const std::vector<std::string>& queries, size_t k,
+    const Bm25Stats* stats) const {
   std::vector<std::vector<TextHit>> results(queries.size());
-  size_t n_live = live_docs_ + base_live_;
+  // Corpus constants come from `stats` when given, else from this
+  // segment pair. Both are double-of-integer, so an index's own
+  // CollectStats reproduces the stats-free arithmetic exactly.
+  uint64_t n_live = stats ? stats->live_docs : live_docs_ + base_live_;
+  uint64_t tokens = stats ? stats->total_tokens : total_tokens_ + base_tokens_;
   if (queries.empty() || n_live == 0) return results;
-  double avg_len = static_cast<double>(total_tokens_ + base_tokens_) /
-                   static_cast<double>(n_live);
+  double avg_len = static_cast<double>(tokens) / static_cast<double>(n_live);
   if (avg_len <= 0.0) avg_len = 1.0;
   double n_docs = static_cast<double>(n_live);
 
-  // Per-batch term cache: the base-table binary search, live-posting
+  // Per-call term cache: the base-table binary search, live-posting
   // gather, document frequency and idf of each distinct term are
   // computed once and shared by every query that mentions it.
   struct TermScore {
     bool live = false;  // false: matches no live document, skip
     double idf = 0.0;
-    std::vector<std::pair<uint32_t, uint32_t>> base_posts;  // (doc, tf)
-    const std::vector<Posting>* delta = nullptr;
+    LivePostings posts;
   };
   std::unordered_map<std::string, TermScore> cache;
   // Identical query strings share one scored result.
   std::unordered_map<std::string_view, size_t> dedup;
   dedup.reserve(queries.size());
+  // Merged doc handle: base doc i -> i, delta doc d -> base_docs_ + d.
+  auto id_of = [this](uint64_t handle) -> std::string_view {
+    if (handle < base_docs_) return BaseDocId(handle);
+    return doc_ids_[handle - base_docs_];
+  };
 
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     auto [first, inserted] = dedup.emplace(queries[qi], qi);
@@ -273,74 +212,59 @@ std::vector<std::vector<TextHit>> InvertedIndex::SearchBatch(
     std::vector<std::string> terms = TokenizeWords(queries[qi]);
     if (terms.empty()) continue;
 
-    // Scores keyed by a merged doc handle: base doc i -> i, delta doc
-    // d -> base_docs_ + d. Per-document contributions accumulate in
-    // query-term order — the same summation order a rebuilt index (and
-    // a solo search) uses, which is what makes scores bit-identical.
+    // Per-document contributions accumulate in query-term order — the
+    // same summation order a rebuilt index (and a solo search) uses,
+    // which is what makes scores bit-identical.
     std::unordered_map<uint64_t, double> scores;
     for (const std::string& term : terms) {
       auto [cit, fresh] = cache.try_emplace(term);
       TermScore& ts = cit->second;
       if (fresh) {
-        if (base_terms_ > 0) {
-          int64_t t = BaseTermIndex(term);
-          if (t >= 0) {
-            uint64_t begin = bpost_off_[t];
-            uint64_t end = bpost_off_[t + 1];
-            for (uint64_t p = begin; p < end; ++p) {
-              uint32_t doc = bpost_[2 * p];
-              uint32_t tf = bpost_[2 * p + 1];
-              if (doc >= base_docs_) continue;  // corrupt posting: skip
-              if (BaseDocDead(doc)) continue;
-              ts.base_posts.emplace_back(doc, tf);
-            }
-          }
+        ts.posts = GatherLive(term);
+        double df = static_cast<double>(ts.posts.df());
+        if (stats != nullptr) {
+          auto dit = stats->df.find(term);
+          df = dit == stats->df.end() ? 0.0
+                                      : static_cast<double>(dit->second);
         }
-        auto it = postings_.find(term);
-        if (it != postings_.end()) ts.delta = &it->second;
-        size_t delta_df = ts.delta ? ts.delta->size() : 0;
-        double df = static_cast<double>(ts.base_posts.size() + delta_df);
         if (df > 0.0) {
           ts.live = true;
           ts.idf = std::log(1.0 + (n_docs - df + 0.5) / (df + 0.5));
         }
       }
       if (!ts.live) continue;
-      double idf = ts.idf;
-      for (const auto& [doc, tf_raw] : ts.base_posts) {
+      auto add = [&](uint64_t handle, uint32_t tf_raw, uint32_t len) {
         double tf = static_cast<double>(tf_raw);
         double len_norm =
-            1.0 - b_ + b_ * static_cast<double>(bdoc_len_[doc]) / avg_len;
-        scores[doc] += idf * (tf * (k1_ + 1.0)) / (tf + k1_ * len_norm);
-      }
-      if (ts.delta != nullptr) {
-        for (const Posting& p : *ts.delta) {
+            1.0 - b_ + b_ * static_cast<double>(len) / avg_len;
+        scores[handle] += ts.idf * (tf * (k1_ + 1.0)) / (tf + k1_ * len_norm);
+      };
+      for (const auto& [doc, tf] : ts.posts.base) add(doc, tf, bdoc_len_[doc]);
+      if (ts.posts.delta != nullptr) {
+        for (const Posting& p : *ts.posts.delta) {
           if (doc_lengths_[p.doc] == 0) continue;  // removed
-          double tf = static_cast<double>(p.term_frequency);
-          double len_norm = 1.0 - b_ + b_ *
-                                           static_cast<double>(
-                                               doc_lengths_[p.doc]) /
-                                           avg_len;
-          scores[base_docs_ + p.doc] +=
-              idf * (tf * (k1_ + 1.0)) / (tf + k1_ * len_norm);
+          add(base_docs_ + p.doc, p.term_frequency, doc_lengths_[p.doc]);
         }
       }
     }
 
+    // (score desc, id asc) top-k; id strings are built for survivors
+    // only.
+    std::vector<std::pair<uint64_t, double>> ranked(scores.begin(),
+                                                    scores.end());
+    size_t keep = std::min(k, ranked.size());
+    std::partial_sort(ranked.begin(), ranked.begin() + keep, ranked.end(),
+                      [&](const auto& a, const auto& b) {
+                        return a.second > b.second ||
+                               (a.second == b.second &&
+                                id_of(a.first) < id_of(b.first));
+                      });
     std::vector<TextHit>& hits = results[qi];
-    hits.reserve(scores.size());
-    for (const auto& [handle, score] : scores) {
-      std::string id = handle < base_docs_
-                           ? std::string(BaseDocId(handle))
-                           : doc_ids_[handle - base_docs_];
-      hits.push_back(TextHit{std::move(id), score});
+    hits.reserve(keep);
+    for (size_t i = 0; i < keep; ++i) {
+      hits.push_back(TextHit{std::string(id_of(ranked[i].first)),
+                             ranked[i].second});
     }
-    std::sort(hits.begin(), hits.end(),
-              [](const TextHit& a, const TextHit& b) {
-                return a.score > b.score ||
-                       (a.score == b.score && a.doc_id < b.doc_id);
-              });
-    if (hits.size() > k) hits.resize(k);
   }
   return results;
 }

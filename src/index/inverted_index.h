@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/fs.h"
@@ -67,12 +68,12 @@ class InvertedIndex {
   std::vector<TextHit> Search(std::string_view query, size_t k) const;
 
   /// Batched BM25: results[i] is bit-identical to `Search(queries[i],
-  /// k)` — which in fact delegates here with a batch of one. Work
-  /// shared across the batch: each distinct term's base-table binary
-  /// search, live-posting gather, document frequency and idf are
-  /// computed once; identical query strings are scored once.
-  /// Per-document accumulation stays in query-term order, which is
-  /// what keeps each result bit-identical to a solo search.
+  /// k)` — both run the one private scorer, a solo search as a batch
+  /// of one. Work shared across the batch: each distinct term's
+  /// base-table binary search, live-posting gather, document frequency
+  /// and idf are computed once; identical query strings are scored
+  /// once. Per-document accumulation stays in query-term order, which
+  /// is what keeps each result bit-identical to a solo search.
   std::vector<std::vector<TextHit>> SearchBatch(
       const std::vector<std::string>& queries, size_t k) const;
 
@@ -126,6 +127,24 @@ class InvertedIndex {
   bool BaseDocDead(size_t i) const {
     return !base_dead_.empty() && base_dead_[i] != 0;
   }
+
+  /// One term's live postings across both segments: what the scorer
+  /// walks and what CollectStats counts.
+  struct LivePostings {
+    std::vector<std::pair<uint32_t, uint32_t>> base;  // (doc, tf)
+    /// Remove purges delta postings eagerly, so the list's length is
+    /// the term's live delta document frequency.
+    const std::vector<Posting>* delta = nullptr;
+    uint64_t df() const { return base.size() + (delta ? delta->size() : 0); }
+  };
+  LivePostings GatherLive(const std::string& term) const;
+
+  /// The BM25 scorer behind Search, SearchBatch and SearchWithStats.
+  /// Corpus constants and document frequencies come from `stats` when
+  /// given, else from this index's own live counts.
+  std::vector<std::vector<TextHit>> Score(
+      const std::vector<std::string>& queries, size_t k,
+      const Bm25Stats* stats) const;
 
   double k1_;
   double b_;

@@ -33,8 +33,10 @@ struct SearchOverlay {
 };
 
 /// The lake services the MLQL executor needs; implemented by
-/// `core::ModelLake`. Abstracting the surface keeps the query engine
-/// testable against a fake lake and free of a dependency cycle.
+/// `core::ModelLake`'s private SearchView (unlocked reads under the
+/// caller's shared lock, plus a SearchOverlay). Abstracting the surface
+/// keeps the query engine testable against a fake lake and free of a
+/// dependency cycle.
 class SearchContext {
  public:
   /// Catalog statistics backing the executor's cost-based planner.

@@ -21,7 +21,6 @@ SearchBatcher::KeywordScores(const std::string& text, size_t k) {
 Json SearchBatcher::StatsJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   Json out = Json::MakeObject();
-  out.Set("enabled", true);
   out.Set("window_us", static_cast<int64_t>(options_.batch_window_us));
   out.Set("max_batch", static_cast<int64_t>(options_.max_batch));
   out.Set("batches", batches_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 
@@ -66,21 +67,47 @@ Result<std::vector<float>> FloatVecFromJson(const Json& arr,
   return vec;
 }
 
+/// A wire count: a non-negative integer exactly representable in a
+/// double (JSON numbers are parsed as doubles).
+Result<uint64_t> CountFromJson(const Json& v, const std::string& what) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  double d = v.is_number() ? v.AsDouble() : -1.0;
+  if (!(d >= 0.0) || d > kMaxExact || std::floor(d) != d) {
+    return Status::InvalidArgument(what + " must be a non-negative integer");
+  }
+  return static_cast<uint64_t>(d);
+}
+
 /// Parses the wire form of Bm25Stats ({"live_docs": n, "total_tokens":
 /// n, "df": {"term": n, ...}}). Integer-valued throughout, so summed
-/// router-side stats arrive bit-exact.
+/// router-side stats arrive bit-exact. Every count must be a
+/// non-negative integer and no df may exceed live_docs (a df above it
+/// drives idf to log(0)); sums of per-shard live counts always pass.
 Result<index::Bm25Stats> Bm25StatsFromJson(const Json& j) {
   if (!j.is_object()) {
     return Status::InvalidArgument("stats must be an object");
   }
   index::Bm25Stats stats;
-  stats.live_docs = static_cast<uint64_t>(j.GetInt64("live_docs", 0));
-  stats.total_tokens = static_cast<uint64_t>(j.GetInt64("total_tokens", 0));
-  const Json* df = j.Find("df");
-  if (df != nullptr && df->is_object()) {
+  if (const Json* v = j.Find("live_docs")) {
+    MLAKE_ASSIGN_OR_RETURN(stats.live_docs,
+                           CountFromJson(*v, "stats.live_docs"));
+  }
+  if (const Json* v = j.Find("total_tokens")) {
+    MLAKE_ASSIGN_OR_RETURN(stats.total_tokens,
+                           CountFromJson(*v, "stats.total_tokens"));
+  }
+  if (const Json* df = j.Find("df")) {
+    if (!df->is_object()) {
+      return Status::InvalidArgument("stats.df must be an object");
+    }
     for (const auto& [term, count] : df->AsObject()) {
-      if (!count.is_number()) continue;
-      stats.df[term] = static_cast<uint64_t>(count.AsInt64());
+      MLAKE_ASSIGN_OR_RETURN(uint64_t n,
+                             CountFromJson(count, "stats.df[" + term + "]"));
+      if (n > stats.live_docs) {
+        return Status::InvalidArgument("stats.df[" + term +
+                                       "] exceeds stats.live_docs");
+      }
+      stats.df[term] = n;
     }
   }
   return stats;
@@ -104,24 +131,19 @@ LakeServer::LakeServer(core::ModelLake* lake, ServerOptions options)
     : lake_(lake), options_(std::move(options)), http_(options_) {
   // Report the transport's normalized limits (threads, admission).
   static_cast<HttpServerOptions&>(options_) = http_.options();
-  // CI hook: force batching on with a chosen window so the TSan job
-  // exercises the coalescing path deterministically.
+  // CI hook: force a batch window so the TSan job exercises the
+  // coalescing path deterministically.
   if (const char* forced = std::getenv("MLAKE_TEST_BATCH_WINDOW_US")) {
     char* end = nullptr;
     long v = std::strtol(forced, &end, 10);
-    if (end != nullptr && *end == '\0' && v > 0) {
-      options_.enable_batching = true;
-      options_.batch_window_us = v;
-    }
+    if (end != nullptr && *end == '\0' && v > 0) options_.batch_window_us = v;
   }
   if (options_.batch_window_us < 0) options_.batch_window_us = 0;
   if (options_.max_batch <= 0) options_.max_batch = 1;
-  if (options_.enable_batching) {
-    BatcherOptions bopts;
-    bopts.batch_window_us = options_.batch_window_us;
-    bopts.max_batch = static_cast<size_t>(options_.max_batch);
-    batcher_ = std::make_unique<SearchBatcher>(lake_, bopts);
-  }
+  BatcherOptions bopts;
+  bopts.batch_window_us = options_.batch_window_us;
+  bopts.max_batch = static_cast<size_t>(options_.max_batch);
+  batcher_ = std::make_unique<SearchBatcher>(lake_, bopts);
   RegisterRoutes();
 }
 
@@ -247,13 +269,7 @@ Json LakeServer::StatszJson() const {
   out.Set("index", lake_->IndexStatsJson());
   out.Set("planner", lake_->PlannerStatsJson());
 
-  if (batcher_ != nullptr) {
-    out.Set("batching", batcher_->StatsJson());
-  } else {
-    Json batching = Json::MakeObject();
-    batching.Set("enabled", false);
-    out.Set("batching", std::move(batching));
-  }
+  out.Set("batching", batcher_->StatsJson());
 
   out.Set("server", http_.StatsJson());
 
@@ -447,13 +463,11 @@ HttpResponse LakeServer::HandleSearch(RequestContext& ctx) const {
     // would.
     const Json* overlay_json = body.Find("overlay");
     search::SearchOverlay overlay;
-    bool has_overlay = false;
     if (overlay_json != nullptr) {
       if (!overlay_json->is_object()) {
         return ErrorResponse(
             Status::InvalidArgument("overlay must be an object"));
       }
-      has_overlay = true;
       if (const Json* embs = overlay_json->Find("embeddings");
           embs != nullptr && embs->is_object()) {
         for (const auto& [emb_id, arr] : embs->AsObject()) {
@@ -476,8 +490,7 @@ HttpResponse LakeServer::HandleSearch(RequestContext& ctx) const {
         overlay.bm25_stats = stats.MoveValueUnsafe();
       }
     }
-    auto result = has_overlay ? lake_->QueryWithOverlay(query, overlay)
-                              : lake_->Query(query);
+    auto result = lake_->Query(query, overlay);
     if (!result.ok()) return ErrorResponse(result.status());
     out.Set("plan", result.ValueUnsafe().plan);
     out.Set("models", RankedModelsJson(result.ValueUnsafe().models));
@@ -487,8 +500,7 @@ HttpResponse LakeServer::HandleSearch(RequestContext& ctx) const {
       return ErrorResponse(
           Status::InvalidArgument("ann search requires \"id\""));
     }
-    auto result = batcher_ != nullptr ? batcher_->RelatedModels(query_id, k)
-                                      : lake_->RelatedModels(query_id, k);
+    auto result = batcher_->RelatedModels(query_id, k);
     if (!result.ok()) return ErrorResponse(result.status());
     out.Set("models", RankedModelsJson(result.ValueUnsafe()));
   } else if (type == "keyword") {
@@ -509,8 +521,7 @@ HttpResponse LakeServer::HandleSearch(RequestContext& ctx) const {
       out.Set("models", ScoredPairsJson(result.ValueUnsafe()));
       return JsonResponse(std::move(out));
     }
-    auto result = batcher_ != nullptr ? batcher_->KeywordScores(query, k)
-                                      : lake_->KeywordScores(query, k);
+    auto result = batcher_->KeywordScores(query, k);
     if (!result.ok()) return ErrorResponse(result.status());
     out.Set("models", ScoredPairsJson(result.ValueUnsafe()));
   } else if (type == "keyword_stats") {

@@ -109,16 +109,17 @@ struct ServerOptions : HttpServerOptions {
   /// Enables GET /debug/sleep?ms=N (deterministic slow handler used by
   /// the shutdown/admission/deadline tests and nothing else).
   bool enable_debug_endpoints = false;
-  /// Coalesces compatible concurrent ann/keyword /v1/search probes
-  /// into one batched index probe (see server/batcher.h). Results are
-  /// bit-identical to solo execution; only scheduling changes. The env
-  /// var MLAKE_TEST_BATCH_WINDOW_US (set by the TSan CI job) overrides
-  /// the window and forces batching on.
-  bool enable_batching = true;
-  /// Upper bound on a batch leader's wait for followers. The leader
-  /// waits only if another search of its kind arrived within the last
-  /// window; a lone request probes at once. A single closed-loop
-  /// client faster than the window still waits on every other request.
+  /// Every ann/keyword /v1/search probe runs through the SearchBatcher
+  /// (server/batcher.h), which coalesces compatible concurrent probes
+  /// into one batched index probe. Results are bit-identical to solo
+  /// execution; only scheduling changes. The window is the upper bound
+  /// on a batch leader's wait for followers. The leader waits only if
+  /// another search of its kind arrived within the last window; a lone
+  /// request probes at once. A single closed-loop client faster than
+  /// the window still waits on every other request. Window 0 never
+  /// waits: every search probes alone, as a batch of one. The env var
+  /// MLAKE_TEST_BATCH_WINDOW_US (set by the TSan CI job) overrides the
+  /// window.
   int64_t batch_window_us = 250;
   int max_batch = 16;
   /// Cluster identity. shard_id >= 0 marks this backend as shard
@@ -215,7 +216,7 @@ class LakeServer {
   /// Governance counters (/statsz "governance"); mutable because const
   /// read handlers bump them.
   mutable governance::GovernanceStats governance_stats_;
-  /// Search coalescing (null when options_.enable_batching is false).
+  /// Search coalescing (never null).
   std::unique_ptr<SearchBatcher> batcher_;
   HttpServer http_;
 };

@@ -6,6 +6,9 @@
 #include <cstring>
 #include <vector>
 
+#include "common/file_util.h"
+#include "common/fs.h"
+
 namespace mlake::index {
 namespace {
 
@@ -186,6 +189,67 @@ TEST(InvertedIndexTest, SummedShardStatsScoreLikeMergedCorpus) {
           << query << " rank " << i;
     }
   }
+}
+
+TEST(InvertedIndexTest, TwoSegmentScorersAgreeBitForBit) {
+  // Base segment from a snapshot plus a delta, with tombstones in both
+  // segments and a base doc shadowed by a re-added delta copy: Search,
+  // SearchBatch and SearchWithStats(own stats) are one scorer, and all
+  // match a single-segment rebuild over the same live documents.
+  auto dir = MakeTempDir("mlake-bm25-two-seg");
+  ASSERT_TRUE(dir.ok());
+  std::string path = JoinPath(dir.ValueUnsafe(), "bm25.snap");
+  {
+    InvertedIndex base = MakeCorpus();
+    base.Add("m5", "legal translation of court contracts");
+    ASSERT_TRUE(base.SaveSnapshot(RealFs(), path, 1).ok());
+  }
+  InvertedIndex index;
+  ASSERT_TRUE(index.LoadSnapshot(RealFs(), path).ok());
+  index.Add("d1", "legal summarization of clinical court notes");
+  index.Add("d2", "model model model for news");
+  index.Add("d3", "legal legal contracts");
+  index.Add("m2", "medical model rewritten for legal notes");  // shadows base
+  index.Remove("m4");  // base tombstone
+  index.Remove("d2");  // delta tombstone
+  ASSERT_GT(index.BaseSize(), 0u);
+  ASSERT_GT(index.DeltaSize(), 0u);
+  ASSERT_EQ(index.Tombstones(), 3u);
+
+  InvertedIndex rebuilt;
+  rebuilt.Add("m1",
+              "legal summarization model trained on US court opinions legal "
+              "legal");
+  rebuilt.Add("m3", "legal entity tagger for contracts");
+  rebuilt.Add("m5", "legal translation of court contracts");
+  rebuilt.Add("d1", "legal summarization of clinical court notes");
+  rebuilt.Add("d3", "legal legal contracts");
+  rebuilt.Add("m2", "medical model rewritten for legal notes");
+
+  std::vector<std::string> queries = {"legal", "legal summarization model",
+                                      "court notes", "news", "contracts legal",
+                                      "absentterm"};
+  auto batch = index.SearchBatch(queries, 4);
+  ASSERT_EQ(batch.size(), queries.size());
+  auto same = [](const std::vector<TextHit>& got,
+                 const std::vector<TextHit>& want, const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].doc_id, want[i].doc_id) << what << " rank " << i;
+      EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(double)), 0)
+          << what << " rank " << i;
+    }
+  };
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::string& query = queries[q];
+    auto solo = index.Search(query, 4);
+    same(index.SearchWithStats(query, 4, index.CollectStats(query)), solo,
+         "stats: " + query);
+    same(batch[q], solo, "batch: " + query);
+    same(rebuilt.Search(query, 4), solo, "rebuilt: " + query);
+  }
+  EXPECT_FALSE(index.Search("legal", 4).empty());
+  ASSERT_TRUE(RemoveAll(dir.ValueUnsafe()).ok());
 }
 
 TEST(InvertedIndexTest, LongDocumentPenalizedByLengthNorm) {

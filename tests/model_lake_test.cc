@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/file_util.h"
 #include "common/string_util.h"
 #include "nn/trainer.h"
@@ -170,6 +172,64 @@ TEST_F(ModelLakeTest, MlqlEndToEnd) {
                  .ValueOrDie();
   ASSERT_EQ(ann.models.size(), 1u);
   EXPECT_EQ(ann.models[0].id, "medical-model");
+}
+
+TEST_F(ModelLakeTest, QueryOverlayContract) {
+  auto lake = ModelLake::Open(options_).MoveValueUnsafe();
+  nn::Dataset task_a = Task("task-a", "d", 128, 40);
+  nn::Dataset task_b = Task("task-b", "d", 128, 41);
+  ASSERT_TRUE(lake->IngestModel(*TrainModel(task_a, 42),
+                                Card("a1", "summarization", "da"))
+                  .ok());
+  ASSERT_TRUE(lake->IngestModel(*TrainModel(task_a, 43),
+                                Card("a2", "summarization", "da"))
+                  .ok());
+  ASSERT_TRUE(lake->IngestModel(*TrainModel(task_b, 44),
+                                Card("b1", "translation", "db"))
+                  .ok());
+  auto same = [](const search::QueryResult& got,
+                 const search::QueryResult& want, const std::string& what) {
+    EXPECT_EQ(got.plan, want.plan) << what;
+    ASSERT_EQ(got.models.size(), want.models.size()) << what;
+    for (size_t i = 0; i < want.models.size(); ++i) {
+      EXPECT_EQ(got.models[i].id, want.models[i].id) << what;
+      EXPECT_EQ(std::memcmp(&got.models[i].score, &want.models[i].score,
+                            sizeof(double)),
+                0)
+          << what << " rank " << i;
+    }
+  };
+  const std::string sim = "FIND MODELS RANK BY behavior_sim('a1') LIMIT 3";
+  const std::string kw = "FIND MODELS RANK BY keyword('summarization') LIMIT 3";
+
+  // A default overlay is no overlay.
+  for (const std::string& q : {sim, kw}) {
+    same(lake->Query(q, search::SearchOverlay{}).ValueOrDie(),
+         lake->Query(q).ValueOrDie(), q);
+  }
+
+  // Local wins: a hint for an owned id never changes the answer, and
+  // the lake's own BM25 stats reproduce its own scores.
+  search::SearchOverlay overlay;
+  overlay.embeddings["a1"] =
+      std::vector<float>(static_cast<size_t>(lake->EmbeddingDim()), 0.5f);
+  overlay.has_bm25 = true;
+  overlay.bm25_text = "summarization";
+  overlay.bm25_stats = lake->CollectBm25Stats("summarization");
+  same(lake->Query(sim, overlay).ValueOrDie(), lake->Query(sim).ValueOrDie(),
+       "owned hint");
+  same(lake->Query(kw, overlay).ValueOrDie(), lake->Query(kw).ValueOrDie(),
+       "own stats");
+
+  // A hint for an unknown id is what lets a behavior_sim on it run.
+  const std::string ghost = "FIND MODELS RANK BY behavior_sim('ghost') LIMIT 3";
+  EXPECT_FALSE(lake->Query(ghost).ok());
+  search::SearchOverlay hint;
+  hint.embeddings["ghost"] = lake->EmbeddingFor("a1").ValueOrDie();
+  auto hinted = lake->Query(ghost, hint);
+  ASSERT_TRUE(hinted.ok()) << hinted.status().ToString();
+  ASSERT_FALSE(hinted.ValueUnsafe().models.empty());
+  EXPECT_EQ(hinted.ValueUnsafe().models[0].id, "a1");
 }
 
 TEST_F(ModelLakeTest, BenchmarkingEvaluatesStoredModels) {

@@ -257,10 +257,14 @@ class ReplicationTest : public ::testing::Test {
 
   void TearDown() override {
     replicator_.reset();
-    if (replica_server_ != nullptr) ASSERT_TRUE(replica_server_->Stop().ok());
+    if (replica_server_ != nullptr) {
+      EXPECT_TRUE(replica_server_->Stop().ok());
+    }
     replica_server_.reset();
     replica_lake_.reset();
-    if (leader_server_ != nullptr) ASSERT_TRUE(leader_server_->Stop().ok());
+    if (leader_server_ != nullptr) {
+      EXPECT_TRUE(leader_server_->Stop().ok());
+    }
     leader_server_.reset();
     leader_lake_.reset();
     ASSERT_TRUE(RemoveAll(root_).ok());

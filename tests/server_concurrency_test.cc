@@ -263,7 +263,6 @@ TEST(ServerConcurrencyTest, BatchedSearchMatchesSoloOracle) {
   ServerOptions options;
   options.threads = 10;
   options.max_inflight = 64;
-  options.enable_batching = true;
   options.batch_window_us = 10000;
   options.max_batch = 8;
   LakeServer server(lake.get(), options);
@@ -359,7 +358,6 @@ TEST(ServerConcurrencyTest, LoneSearchSkipsBatchWindow) {
 
   ServerOptions options;
   options.threads = 4;
-  options.enable_batching = true;
   options.batch_window_us = 2000000;
   LakeServer server(lake.get(), options);
   ASSERT_TRUE(server.Start().ok());

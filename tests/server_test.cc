@@ -274,6 +274,46 @@ TEST_F(ServerTest, SearchRejectsBadBodies) {
   EXPECT_EQ(unknown_ann_id.ValueUnsafe().status, 404);
 }
 
+TEST_F(ServerTest, SearchRejectsBadBm25Stats) {
+  auto client = Client();
+  auto status_of = [&](const std::string& body) {
+    auto response = client.Post("/v1/search", body);
+    EXPECT_TRUE(response.ok());
+    return response.ok() ? response.ValueUnsafe().status : -1;
+  };
+  auto keyword = [](const std::string& stats) {
+    return R"({"type": "keyword", "query": "sum", "k": 5, "stats": )" +
+           stats + "}";
+  };
+  // Well-formed stats, as a router would sum them, are served.
+  EXPECT_EQ(status_of(keyword(
+                R"({"live_docs": 3, "total_tokens": 30, "df": {"sum": 2}})")),
+            200);
+  // df above live_docs would drive idf to log(0): every score -inf.
+  EXPECT_EQ(status_of(keyword(
+                R"({"live_docs": 1, "total_tokens": 9, "df": {"sum": 1e18}})")),
+            400);
+  EXPECT_EQ(status_of(keyword(R"({"live_docs": -3, "total_tokens": 30})")),
+            400);
+  EXPECT_EQ(status_of(keyword(
+                R"({"live_docs": 3, "total_tokens": 30.5, "df": {}})")),
+            400);
+  EXPECT_EQ(status_of(keyword(
+                R"({"live_docs": 3, "total_tokens": 30, "df": {"sum": 1.5}})")),
+            400);
+  EXPECT_EQ(status_of(keyword(
+                R"({"live_docs": 3, "total_tokens": 30, "df": {"sum": "2"}})")),
+            400);
+  EXPECT_EQ(status_of(keyword(R"({"live_docs": 3, "df": [2]})")), 400);
+  // The MLQL overlay's stats go through the same check.
+  EXPECT_EQ(
+      status_of(
+          R"j({"type": "mlql", "query": "FIND MODELS RANK BY keyword('sum')",)j"
+          R"j( "overlay": {"bm25": {"text": "sum", "stats": {"live_docs": 1,)j"
+          R"j( "total_tokens": 9, "df": {"sum": 7}}}}})j"),
+      400);
+}
+
 TEST_F(ServerTest, IngestRoundTrip) {
   auto client = Client();
   auto response = client.Post("/v1/ingest", IngestBody("http-m1", 42));

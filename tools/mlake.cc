@@ -46,7 +46,7 @@
 //                                run mlaked, the JSON-over-HTTP lake
 //                                server, until SIGINT/SIGTERM (graceful
 //                                drain; prints /statsz on shutdown).
-//                                W=0 disables search batching. With
+//                                W=0: searches never wait to batch. With
 //                                --shard-id/--cluster-size the server
 //                                acts as one shard of a cluster and
 //                                rejects misrouted ingests.
@@ -610,8 +610,7 @@ int CmdServe(core::ModelLake* lake, const std::vector<std::string>& args) {
     if (int_arg("--drain-deadline-ms", &options.drain_deadline_ms)) continue;
     int window_us = -1;
     if (int_arg("--batch-window-us", &window_us)) {
-      // 0 disables coalescing entirely; >0 sets the leader wait.
-      options.enable_batching = window_us > 0;
+      // 0: every search probes alone; >0 bounds the leader wait.
       options.batch_window_us = window_us;
       continue;
     }
