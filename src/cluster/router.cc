@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
 
 #include "common/hash.h"
 #include "common/sharding.h"
@@ -104,22 +103,13 @@ Json FloatVecToJson(const std::vector<float>& vec) {
   return arr;
 }
 
-/// One merged search hit. Scores travel the wire as %.17g doubles
-/// (exact double round trip), so sorting parsed legs with the
-/// executor's comparator reproduces the single-lake order bit for bit.
-struct MergedHit {
-  double score = 0.0;
-  std::string id;
-};
-
-bool ScoreDescIdAsc(const MergedHit& a, const MergedHit& b) {
-  return a.score > b.score || (a.score == b.score && a.id < b.id);
-}
-
-/// Collects every leg's "models" entries into one list.
-Result<std::vector<MergedHit>> CollectHits(
+/// Collects every leg's "models" entries into one list. Scores travel
+/// the wire as %.17g doubles (exact double round trip), so sorting the
+/// parsed legs with search::ScoreDescIdAsc reproduces the single-lake
+/// order bit for bit.
+Result<std::vector<search::RankedModel>> CollectHits(
     const std::vector<HttpResponse>& legs) {
-  std::vector<MergedHit> hits;
+  std::vector<search::RankedModel> hits;
   for (const HttpResponse& leg : legs) {
     MLAKE_ASSIGN_OR_RETURN(Json body, ParseJsonBody(leg));
     const Json* models = body.Find("models");
@@ -128,27 +118,33 @@ Result<std::vector<MergedHit>> CollectHits(
     }
     for (const Json& m : models->AsArray()) {
       if (!m.is_object()) continue;
-      hits.push_back(MergedHit{m.GetDouble("score"), m.GetString("id")});
+      hits.push_back(
+          search::RankedModel{m.GetString("id"), m.GetDouble("score")});
     }
   }
   return hits;
+}
+
+/// The "models" array of a search response: the first k of `hits`.
+Json ModelsJson(const std::vector<search::RankedModel>& hits, size_t k) {
+  Json arr = Json::MakeArray();
+  for (size_t i = 0; i < hits.size() && i < k; ++i) {
+    Json j = Json::MakeObject();
+    j.Set("id", hits[i].id);
+    j.Set("score", hits[i].score);
+    arr.Append(std::move(j));
+  }
+  return arr;
 }
 
 /// Merges per-shard top-k lists: same comparator as the executor's
 /// final sort, truncated to k. Shards hold disjoint models, so no
 /// dedup is needed and each document's score is its exact global one.
 Result<Json> MergeModels(const std::vector<HttpResponse>& legs, size_t k) {
-  MLAKE_ASSIGN_OR_RETURN(std::vector<MergedHit> hits, CollectHits(legs));
-  std::sort(hits.begin(), hits.end(), ScoreDescIdAsc);
-  if (hits.size() > k) hits.resize(k);
-  Json arr = Json::MakeArray();
-  for (const MergedHit& h : hits) {
-    Json j = Json::MakeObject();
-    j.Set("id", h.id);
-    j.Set("score", h.score);
-    arr.Append(std::move(j));
-  }
-  return arr;
+  MLAKE_ASSIGN_OR_RETURN(std::vector<search::RankedModel> hits,
+                         CollectHits(legs));
+  std::sort(hits.begin(), hits.end(), search::ScoreDescIdAsc);
+  return ModelsJson(hits, k);
 }
 
 /// The server caps k at 10000, so that is the deepest global keyword
@@ -994,7 +990,7 @@ HttpResponse Router::SearchHybrid(const std::string& text,
   // RRF needs three global views: the query model's embedding, the
   // globally-ranked BM25 list, and every shard's WHERE-surviving
   // candidates with their dot products. Assemble all three, then fuse
-  // exactly as RankCandidates' hybrid branch does.
+  // with search::FuseRrf, the code RankCandidates' hybrid branch runs.
   auto query_vec = ResolveEmbedding(query_id, deadline);
   if (!query_vec.ok()) return ErrorResponse(query_vec.status());
   auto stats = GlobalKeywordStats(text, deadline);
@@ -1015,10 +1011,11 @@ HttpResponse Router::SearchHybrid(const std::string& text,
   auto kw_hits = CollectHits(kw_legs.ValueUnsafe());
   if (!kw_hits.ok()) return ErrorResponse(kw_hits.status());
   std::sort(kw_hits.ValueUnsafe().begin(), kw_hits.ValueUnsafe().end(),
-            ScoreDescIdAsc);
-  std::unordered_map<std::string, size_t> keyword_rank;
-  for (size_t i = 0; i < kw_hits.ValueUnsafe().size(); ++i) {
-    keyword_rank[kw_hits.ValueUnsafe()[i].id] = i;
+            search::ScoreDescIdAsc);
+  std::vector<std::string> keyword_order;
+  keyword_order.reserve(kw_hits.ValueUnsafe().size());
+  for (search::RankedModel& hit : kw_hits.ValueUnsafe()) {
+    keyword_order.push_back(std::move(hit.id));
   }
 
   // Per-shard candidates + dot products.
@@ -1053,42 +1050,8 @@ HttpResponse Router::SearchHybrid(const std::string& text,
     }
   }
 
-  // Similarity ranking over candidates with embeddings — the same
-  // (-dot, id) ascending sort as the executor.
-  std::vector<std::pair<double, std::string>> by_similarity;
-  for (const search::HybridCandidate& c : candidates) {
-    if (c.has_dot) by_similarity.emplace_back(-c.dot, c.id);
-  }
-  std::sort(by_similarity.begin(), by_similarity.end());
-  std::unordered_map<std::string, size_t> embedding_rank;
-  for (size_t i = 0; i < by_similarity.size(); ++i) {
-    embedding_rank[by_similarity[i].second] = i;
-  }
-
-  // Fuse: keyword contribution first, then similarity — the addition
-  // order matters for bit-identical doubles.
-  std::vector<MergedHit> fused;
-  fused.reserve(candidates.size());
-  for (const search::HybridCandidate& c : candidates) {
-    double score = 0.0;
-    if (auto it = keyword_rank.find(c.id); it != keyword_rank.end()) {
-      score += 1.0 / (search::kRrfOffset + static_cast<double>(it->second));
-    }
-    if (auto it = embedding_rank.find(c.id); it != embedding_rank.end()) {
-      score += 1.0 / (search::kRrfOffset + static_cast<double>(it->second));
-    }
-    fused.push_back(MergedHit{score, c.id});
-  }
-  std::sort(fused.begin(), fused.end(), ScoreDescIdAsc);
-  if (fused.size() > k) fused.resize(k);
-
-  Json models = Json::MakeArray();
-  for (const MergedHit& h : fused) {
-    Json j = Json::MakeObject();
-    j.Set("id", h.id);
-    j.Set("score", h.score);
-    models.Append(std::move(j));
-  }
+  std::vector<search::RankedModel> fused =
+      search::FuseRrf(std::move(keyword_order), std::move(candidates));
   Json out = Json::MakeObject();
   out.Set("type", type_label);
   if (std::string_view(type_label) == "mlql") {
@@ -1096,7 +1059,7 @@ HttpResponse Router::SearchHybrid(const std::string& text,
                               "merge top-%zu",
                               cluster_size_, k));
   }
-  out.Set("models", std::move(models));
+  out.Set("models", ModelsJson(fused, k));
   return JsonResponse(std::move(out));
 }
 

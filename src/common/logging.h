@@ -36,23 +36,7 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-/// Swallows a log statement below the active level without evaluating
-/// stream operands' formatting.
-class NullLog {
- public:
-  template <typename T>
-  NullLog& operator<<(const T&) {
-    return *this;
-  }
-};
-
 }  // namespace internal
-
-#define MLAKE_LOG(level)                                              \
-  (::mlake::LogLevel::k##level < ::mlake::GetLogLevel())              \
-      ? (void)0                                                       \
-      : (void)(::mlake::internal::LogMessage(::mlake::LogLevel::k##level, \
-                                             __FILE__, __LINE__))
 
 /// Streams a log line at the given severity when enabled, e.g.
 ///   MLAKE_LOG_INFO << "ingested " << n << " models";

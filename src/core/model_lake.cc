@@ -42,6 +42,40 @@ Result<std::vector<float>> FloatsFromJson(const Json& j) {
   return out;
 }
 
+// Journal op names. "ingest" and "compact" are write-ahead: journaled
+// before the mutation starts, rolled back and aborted if it never
+// commits. The rest are apply-then-log: journaled only once the
+// mutation is durable, so a pending one is completed, never undone.
+constexpr char kIngestOp[] = "ingest";
+constexpr char kCompactOp[] = "compact";
+constexpr char kRecordEdgeOp[] = "record_edge";
+constexpr char kRegisterDatasetOp[] = "register_dataset";
+constexpr char kUpdateCardOp[] = "update_card";
+
+bool IsApplyThenLog(const std::string& op) {
+  return op == kRecordEdgeOp || op == kRegisterDatasetOp ||
+         op == kUpdateCardOp;
+}
+
+/// The dataset-shards codec: a dataset doc and a register_dataset
+/// payload both carry the shard list as "shards".
+Json ShardsToJson(const std::vector<std::string>& shards) {
+  Json arr = Json::MakeArray();
+  for (const std::string& s : shards) arr.Append(Json(s));
+  return arr;
+}
+
+std::vector<std::string> ShardsFromJson(const Json& holder) {
+  std::vector<std::string> shards;
+  if (const Json* arr = holder.Find("shards");
+      arr != nullptr && arr->is_array()) {
+    for (const Json& s : arr->AsArray()) {
+      if (s.is_string()) shards.push_back(s.AsString());
+    }
+  }
+  return shards;
+}
+
 /// Snapshot file name of one index at one generation.
 std::string SnapName(const char* prefix, uint64_t generation) {
   return StrFormat("%s.%llu.snap", prefix,
@@ -161,13 +195,12 @@ Status ModelLake::Recover() {
   MLAKE_ASSIGN_OR_RETURN(std::vector<storage::Intent> pending,
                          journal_->Pending());
   for (const storage::Intent& intent : pending) {
-    // Apply-then-log ops (record_edge, register_dataset) journal only
-    // *after* their mutation is durable, so a pending intent means the
-    // mutation already applied — completing the Commit just finishes
-    // the interrupted log append. Everything else is a write-ahead
-    // intent: roll the mutation back and Abort so the entry never
-    // enters the replayable log.
-    if (intent.op == "record_edge" || intent.op == "register_dataset") {
+    // An apply-then-log intent is journaled only *after* its mutation
+    // is durable, so a pending one means the mutation already applied —
+    // completing the Commit just finishes the interrupted log append.
+    // Everything else is a write-ahead intent: roll the mutation back
+    // and Abort so the entry never enters the replayable log.
+    if (IsApplyThenLog(intent.op)) {
       MLAKE_RETURN_NOT_OK(journal_->Commit(intent.seq));
       continue;
     }
@@ -201,12 +234,12 @@ Status ModelLake::Recover() {
 }
 
 Status ModelLake::RollbackIntent(const storage::Intent& intent) {
-  if (intent.op == "record_edge" || intent.op == "register_dataset") {
-    // Apply-then-log ops: the intent is written only after the mutation
-    // is durable, so there is nothing to undo (see Recover).
+  if (IsApplyThenLog(intent.op)) {
+    // The intent is written only after the mutation is durable, so
+    // there is nothing to undo (see Recover).
     return Status::OK();
   }
-  if (intent.op == "compact") {
+  if (intent.op == kCompactOp) {
     // A compaction intent names no models; the mutation is the set of
     // snapshot files plus the atomic manifest swap. Deleting every
     // index file the *current* manifest does not name lands on exactly
@@ -615,7 +648,7 @@ Status ModelLake::CompactIndices() {
   // in here leaves the intent pending; recovery deletes whatever files
   // the manifest does not name.
   storage::Intent intent;
-  intent.op = "compact";
+  intent.op = kCompactOp;
   uint64_t gen;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
@@ -761,48 +794,6 @@ Status ModelLake::PersistGraph() {
   return catalog_->PutDoc("graph", "main", graph_.ToJson());
 }
 
-Status ModelLake::IndexModel(const std::string& id,
-                             const metadata::ModelCard& card) {
-  bm25_.Add(id, card.SearchText());
-  return Status::OK();
-}
-
-Status ModelLake::ValidateIngest(
-    const IngestRequest& request,
-    const std::vector<std::string>& batch_ids) const {
-  const metadata::ModelCard& card = request.card;
-  if (request.model == nullptr) {
-    return Status::InvalidArgument("IngestRequest.model is required");
-  }
-  if (card.model_id.empty()) {
-    return Status::InvalidArgument("card.model_id is required");
-  }
-  if (catalog_->Contains("model", card.model_id)) {
-    return Status::AlreadyExists("model already in lake: " + card.model_id);
-  }
-  if (std::find(batch_ids.begin(), batch_ids.end(), card.model_id) !=
-      batch_ids.end()) {
-    return Status::AlreadyExists("duplicate model id in ingest batch: " +
-                                 card.model_id);
-  }
-  std::vector<std::string> problems = metadata::ValidateCard(card);
-  if (!problems.empty()) {
-    // Lakes accept imperfect documentation (that is the paper's reality)
-    // but reject structurally broken cards.
-    for (const std::string& p : problems) {
-      if (p.find("model_id") != std::string::npos) {
-        return Status::InvalidArgument("invalid card: " + p);
-      }
-    }
-  }
-  if (request.model->spec().input_dim != options_.input_dim ||
-      request.model->spec().num_classes != options_.num_classes) {
-    return Status::InvalidArgument(
-        "model io dims do not match this lake's shared input/output space");
-  }
-  return Status::OK();
-}
-
 Result<std::string> ModelLake::IngestModel(const nn::Model& model,
                                            const metadata::ModelCard& card) {
   std::vector<IngestRequest> batch(1);
@@ -815,35 +806,53 @@ Result<std::string> ModelLake::IngestModel(const nn::Model& model,
 Result<std::vector<std::string>> ModelLake::IngestModels(
     const std::vector<IngestRequest>& batch) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  return IngestModelsLocked(batch);
+  MLAKE_ASSIGN_OR_RETURN(std::vector<IngestRow> rows, ModelRows(batch));
+  return IngestRowsLocked(std::move(rows));
 }
 
-Result<std::vector<std::string>> ModelLake::IngestModelsLocked(
-    const std::vector<IngestRequest>& batch) {
-  // Phase 0: validate everything before writing anything — a rejected
-  // batch leaves the lake untouched.
-  std::vector<std::string> ids;
-  ids.reserve(batch.size());
+Result<std::vector<std::string>> ModelLake::IngestCards(
+    const std::vector<CardIngest>& batch) {
+  std::vector<IngestRow> rows(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    rows[i].card = &batch[i].card;
+    rows[i].embedding = batch[i].embedding;
+  }
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  return IngestRowsLocked(std::move(rows));
+}
+
+Result<std::vector<ModelLake::IngestRow>> ModelLake::ModelRows(
+    const std::vector<IngestRequest>& batch) const {
   for (const IngestRequest& request : batch) {
-    MLAKE_RETURN_NOT_OK(ValidateIngest(request, ids));
-    ids.push_back(request.card.model_id);
+    if (request.model == nullptr) {
+      return Status::InvalidArgument("IngestRequest.model is required");
+    }
+    // Lakes accept imperfect documentation (that is the paper's
+    // reality) but reject structurally broken cards.
+    for (const std::string& p : metadata::ValidateCard(request.card)) {
+      if (p.find("model_id") != std::string::npos) {
+        return Status::InvalidArgument("invalid card: " + p);
+      }
+    }
+    if (request.model->spec().input_dim != options_.input_dim ||
+        request.model->spec().num_classes != options_.num_classes) {
+      return Status::InvalidArgument(
+          "model io dims do not match this lake's shared input/output space");
+    }
   }
 
-  // Phase 1 (parallel, pure): serialize artifacts, hash them for the
-  // intent, and compute embeddings. Each task owns slot i; results land
-  // in batch order. Nothing durable has changed yet.
-  std::vector<std::string> artifact_bytes(batch.size());
-  std::vector<std::string> digests(batch.size());
+  // Serialize and hash the artifacts, then embed the models — in
+  // parallel on options_.exec, each task owning slot i so results land
+  // in batch order. Nothing durable changes here.
+  std::vector<IngestRow> rows(batch.size());
   MLAKE_RETURN_NOT_OK(
       ParallelFor(options_.exec, 0, batch.size(), [&](size_t i) {
         Json meta = Json::MakeObject();
         meta.Set("model_id", batch[i].card.model_id);
-        storage::ModelArtifact artifact =
-            storage::ArtifactFromModel(*batch[i].model, meta);
-        artifact_bytes[i] = storage::SerializeArtifact(artifact);
-        digests[i] = Sha256::HexDigest(artifact_bytes[i]);
+        rows[i].artifact_bytes = storage::SerializeArtifact(
+            storage::ArtifactFromModel(*batch[i].model, meta));
+        rows[i].digest = Sha256::HexDigest(rows[i].artifact_bytes);
       }));
-
   std::vector<nn::Model*> models(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     // Embed runs a forward pass (mutates per-model scratch); the batch
@@ -852,32 +861,116 @@ Result<std::vector<std::string>> ModelLake::IngestModelsLocked(
   }
   MLAKE_ASSIGN_OR_RETURN(std::vector<std::vector<float>> embeddings,
                          embedder_->EmbedAll(models, options_.exec));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const nn::Model& model = *batch[i].model;
+    rows[i].card = &batch[i].card;
+    rows[i].embedding = std::move(embeddings[i]);
+    rows[i].model_doc = Json::MakeObject();
+    rows[i].model_doc.Set("artifact_digest", rows[i].digest);
+    rows[i].model_doc.Set("arch", model.spec().ToJson());
+    rows[i].model_doc.Set("num_params", model.spec().input_dim == 0
+                                            ? Json(0)
+                                            : Json(model.NumParams()));
+  }
+  return rows;
+}
 
-  // Phase 2: durably journal the intent before touching any durable
-  // state. From here the batch is all-or-nothing: a crash leaves the
-  // intent behind and the next Open() rolls the batch back.
-  storage::Intent intent;
-  intent.op = "ingest";
-  intent.ids = ids;
-  intent.digests = digests;
-  if (options_.replication_log) {
-    // Replay payload: the cards. Artifact bytes ship by digest and the
-    // embedding is recomputed deterministically from them, so cards are
-    // all a replica needs beyond the blobs.
-    Json cards = Json::MakeArray();
-    for (const IngestRequest& request : batch) {
-      cards.Append(request.card.ToJson());
+Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
+    std::vector<IngestRow> rows) {
+  // Validate every id before writing anything — a rejected batch leaves
+  // the lake untouched.
+  std::vector<std::string> ids;
+  ids.reserve(rows.size());
+  bool has_artifacts = false;
+  for (const IngestRow& row : rows) {
+    const std::string& id = row.card->model_id;
+    if (id.empty()) {
+      return Status::InvalidArgument("card.model_id is required");
     }
-    Json payload = Json::MakeObject();
-    payload.Set("cards", std::move(cards));
-    intent.payload = std::move(payload);
+    if (catalog_->Contains("model", id)) {
+      return Status::AlreadyExists("model already in lake: " + id);
+    }
+    if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
+      return Status::AlreadyExists("duplicate model id in ingest batch: " +
+                                   id);
+    }
+    if (static_cast<int64_t>(row.embedding.size()) != embedder_->Dim()) {
+      return Status::InvalidArgument(StrFormat(
+          "embedding for %s has dim %zu, lake expects %lld", id.c_str(),
+          row.embedding.size(), static_cast<long long>(embedder_->Dim())));
+    }
+    ids.push_back(id);
+    has_artifacts = has_artifacts || !row.digest.empty();
+  }
+  if (ids.empty()) return ids;
+
+  // Durably journal the intent before touching any durable state. From
+  // here the batch is all-or-nothing: a crash leaves the intent behind
+  // and the next Open() rolls the batch back.
+  storage::Intent intent;
+  intent.op = kIngestOp;
+  intent.ids = ids;
+  for (const IngestRow& row : rows) {
+    if (!row.digest.empty()) intent.digests.push_back(row.digest);
+  }
+  if (options_.replication_log) {
+    // Replay payload: the cards. Artifact bytes ship by digest and an
+    // embedding is recomputed deterministically from them; metadata-only
+    // rows have no artifact, so their embeddings ride inline.
+    Json cards = Json::MakeArray();
+    Json embeddings = Json::MakeArray();
+    for (const IngestRow& row : rows) {
+      cards.Append(row.card->ToJson());
+      if (!has_artifacts) embeddings.Append(FloatsToJson(row.embedding));
+    }
+    intent.payload = Json::MakeObject();
+    intent.payload.Set("cards", std::move(cards));
+    if (!has_artifacts) intent.payload.Set("embeddings", std::move(embeddings));
   }
   MLAKE_ASSIGN_OR_RETURN(intent.seq, BeginIntentLocked(intent));
 
-  // Phase 3: apply the mutation (blobs, catalog, indices, graph).
   const size_t pre_ann_ids = ann_ids_.size();
   const size_t pre_ann_delta = ann_->DeltaSize();
-  Status applied = ApplyIngest(batch, digests, artifact_bytes, embeddings);
+  Status applied = [&]() -> Status {
+    // Blobs first (content-addressed, idempotent), then catalog docs and
+    // index entries, all in batch order.
+    for (const IngestRow& row : rows) {
+      if (row.digest.empty()) continue;
+      MLAKE_ASSIGN_OR_RETURN(std::string digest,
+                             blobs_->Put(row.artifact_bytes));
+      if (digest != row.digest) {
+        return Status::Internal("artifact digest mismatch for " +
+                                row.card->model_id);
+      }
+    }
+    std::vector<int64_t> internal_ids(rows.size());
+    std::vector<std::vector<float>> embeddings(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      IngestRow& row = rows[i];
+      const std::string& id = ids[i];
+      if (row.digest.empty()) {
+        row.model_doc = Json::MakeObject();
+        row.model_doc.Set("artifact_digest", std::string());
+        row.model_doc.Set("metadata_only", true);
+      }
+      MLAKE_RETURN_NOT_OK(catalog_->PutDoc("model", id, row.model_doc));
+      MLAKE_RETURN_NOT_OK(catalog_->PutDoc("card", id, row.card->ToJson()));
+      MLAKE_RETURN_NOT_OK(
+          catalog_->PutDoc("embedding", id, FloatsToJson(row.embedding)));
+      bm25_.Add(id, row.card->SearchText());
+      digest_by_id_[id] = row.digest;
+      internal_ids[i] = static_cast<int64_t>(ann_ids_.size());
+      ann_ids_.push_back(id);
+      // Metadata-only models carry no recorded lineage, so the graph
+      // JSON stays proportional to the artifact-backed population.
+      if (!row.digest.empty()) graph_.AddModel(id);
+      embeddings[i] = std::move(row.embedding);
+    }
+    // One bulk ANN extension (parallel inside, deterministic at any
+    // thread count), then persist the graph once for the batch.
+    MLAKE_RETURN_NOT_OK(ann_->Build(internal_ids, embeddings, options_.exec));
+    return has_artifacts ? PersistGraph() : Status::OK();
+  }();
   if (applied.ok()) {
     // Batch durability point, then commit the intent away. A crash
     // between Sync and Commit replays a rollback of a fully-applied
@@ -894,9 +987,7 @@ Result<std::vector<std::string>> ModelLake::IngestModelsLocked(
     // Abort, not Commit: a rolled-back batch must never enter the
     // replayable log a replica would ship.
     Status rolled_back = RollbackIntent(intent);
-    if (rolled_back.ok()) {
-      rolled_back = journal_->Abort(intent.seq);
-    }
+    if (rolled_back.ok()) rolled_back = journal_->Abort(intent.seq);
     if (!rolled_back.ok()) {
       MLAKE_LOG_WARNING << "lake " << options_.root
                         << ": ingest rollback incomplete ("
@@ -904,12 +995,27 @@ Result<std::vector<std::string>> ModelLake::IngestModelsLocked(
                         << "); will be replayed on next open";
     }
     RollbackBatchIndexesLocked(ids, pre_ann_ids, pre_ann_delta);
-    ++mutation_epoch_;
-    return applied;
   }
   ++mutation_epoch_;
+  if (!applied.ok()) return applied;
   MaybeScheduleCompactionLocked();
   return ids;
+}
+
+Status ModelLake::LogAppliedLocked(const char* op, Json payload) {
+  if (!options_.replication_log) return Status::OK();
+  // Apply-then-log: make the mutation durable first, then append and
+  // commit the log entry so replicas replay it. A crash between Sync
+  // and Commit leaves a pending intent whose mutation already applied;
+  // Recover completes the Commit (never rolls it back). A crash before
+  // Begin loses only the log entry — the periodic fingerprint exchange
+  // catches the divergence and a re-seed repairs it.
+  MLAKE_RETURN_NOT_OK(catalog_->Sync());
+  storage::Intent intent;
+  intent.op = op;
+  intent.payload = std::move(payload);
+  MLAKE_ASSIGN_OR_RETURN(intent.seq, BeginIntentLocked(intent));
+  return journal_->Commit(intent.seq);
 }
 
 void ModelLake::RollbackBatchIndexesLocked(const std::vector<std::string>& ids,
@@ -941,151 +1047,7 @@ void ModelLake::RollbackBatchIndexesLocked(const std::vector<std::string>& ids,
   ann_ids_.resize(pre_ann_ids);
 }
 
-Result<std::vector<std::string>> ModelLake::IngestCards(
-    const std::vector<CardIngest>& batch) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return IngestCardsLocked(batch);
-}
-
-Result<std::vector<std::string>> ModelLake::IngestCardsLocked(
-    const std::vector<CardIngest>& batch) {
-  std::vector<std::string> ids;
-  ids.reserve(batch.size());
-  for (const CardIngest& item : batch) {
-    const std::string& id = item.card.model_id;
-    if (id.empty()) {
-      return Status::InvalidArgument("card.model_id is required");
-    }
-    if (catalog_->Contains("model", id)) {
-      return Status::AlreadyExists("model already in lake: " + id);
-    }
-    if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
-      return Status::AlreadyExists("duplicate model id in ingest batch: " +
-                                   id);
-    }
-    if (static_cast<int64_t>(item.embedding.size()) != embedder_->Dim()) {
-      return Status::InvalidArgument(StrFormat(
-          "embedding for %s has dim %zu, lake expects %lld", id.c_str(),
-          item.embedding.size(), static_cast<long long>(embedder_->Dim())));
-    }
-    ids.push_back(id);
-  }
-  if (ids.empty()) return ids;
-
-  storage::Intent intent;
-  intent.op = "ingest";
-  intent.ids = ids;
-  if (options_.replication_log) {
-    // Metadata-only ingests have no artifact to recompute from, so the
-    // payload carries the embeddings inline alongside the cards.
-    Json cards = Json::MakeArray();
-    Json embeddings_json = Json::MakeArray();
-    for (const CardIngest& item : batch) {
-      cards.Append(item.card.ToJson());
-      embeddings_json.Append(FloatsToJson(item.embedding));
-    }
-    Json payload = Json::MakeObject();
-    payload.Set("cards", std::move(cards));
-    payload.Set("embeddings", std::move(embeddings_json));
-    intent.payload = std::move(payload);
-  }
-  MLAKE_ASSIGN_OR_RETURN(intent.seq, BeginIntentLocked(intent));
-
-  const size_t pre_ann_ids = ann_ids_.size();
-  const size_t pre_ann_delta = ann_->DeltaSize();
-  Status applied = ApplyCards(batch);
-  if (applied.ok()) {
-    applied = catalog_->Sync();
-    if (applied.ok()) applied = journal_->Commit(intent.seq);
-  }
-  if (!applied.ok()) {
-    Status rolled_back = RollbackIntent(intent);
-    if (rolled_back.ok()) {
-      rolled_back = journal_->Abort(intent.seq);
-    }
-    if (!rolled_back.ok()) {
-      MLAKE_LOG_WARNING << "lake " << options_.root
-                        << ": card-ingest rollback incomplete ("
-                        << rolled_back.ToString()
-                        << "); will be replayed on next open";
-    }
-    RollbackBatchIndexesLocked(ids, pre_ann_ids, pre_ann_delta);
-    ++mutation_epoch_;
-    return applied;
-  }
-  ++mutation_epoch_;
-  MaybeScheduleCompactionLocked();
-  return ids;
-}
-
-Status ModelLake::ApplyCards(const std::vector<CardIngest>& batch) {
-  std::vector<int64_t> internal_ids(batch.size());
-  std::vector<std::vector<float>> embeddings(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const metadata::ModelCard& card = batch[i].card;
-    Json model_doc = Json::MakeObject();
-    model_doc.Set("artifact_digest", std::string());
-    model_doc.Set("metadata_only", true);
-    MLAKE_RETURN_NOT_OK(catalog_->PutDoc("model", card.model_id, model_doc));
-    MLAKE_RETURN_NOT_OK(
-        catalog_->PutDoc("card", card.model_id, card.ToJson()));
-    MLAKE_RETURN_NOT_OK(catalog_->PutDoc("embedding", card.model_id,
-                                         FloatsToJson(batch[i].embedding)));
-    bm25_.Add(card.model_id, card.SearchText());
-    digest_by_id_[card.model_id] = std::string();
-    internal_ids[i] = static_cast<int64_t>(ann_ids_.size());
-    ann_ids_.push_back(card.model_id);
-    embeddings[i] = batch[i].embedding;
-  }
-  // No graph node and no PersistGraph: metadata-only models carry no
-  // recorded lineage, and the graph JSON stays proportional to the
-  // artifact-backed population.
-  return ann_->Build(internal_ids, embeddings, options_.exec);
-}
-
 int64_t ModelLake::EmbeddingDim() const { return embedder_->Dim(); }
-
-Status ModelLake::ApplyIngest(
-    const std::vector<IngestRequest>& batch,
-    const std::vector<std::string>& digests,
-    const std::vector<std::string>& artifact_bytes,
-    const std::vector<std::vector<float>>& embeddings) {
-  // Blobs first (content-addressed, idempotent), then catalog docs,
-  // BM25, graph nodes — all in batch order.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    MLAKE_ASSIGN_OR_RETURN(std::string digest,
-                           blobs_->Put(artifact_bytes[i]));
-    if (digest != digests[i]) {
-      return Status::Internal("artifact digest mismatch for " +
-                              batch[i].card.model_id);
-    }
-  }
-  std::vector<int64_t> internal_ids(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const metadata::ModelCard& card = batch[i].card;
-    Json model_doc = Json::MakeObject();
-    model_doc.Set("artifact_digest", digests[i]);
-    model_doc.Set("arch", batch[i].model->spec().ToJson());
-    model_doc.Set("num_params", batch[i].model->spec().input_dim == 0
-                                    ? Json(0)
-                                    : Json(batch[i].model->NumParams()));
-    MLAKE_RETURN_NOT_OK(catalog_->PutDoc("model", card.model_id, model_doc));
-    MLAKE_RETURN_NOT_OK(catalog_->PutDoc("card", card.model_id,
-                                         card.ToJson()));
-    MLAKE_RETURN_NOT_OK(catalog_->PutDoc("embedding", card.model_id,
-                                         FloatsToJson(embeddings[i])));
-    MLAKE_RETURN_NOT_OK(IndexModel(card.model_id, card));
-    digest_by_id_[card.model_id] = digests[i];
-    internal_ids[i] = static_cast<int64_t>(ann_ids_.size());
-    ann_ids_.push_back(card.model_id);
-    graph_.AddModel(card.model_id);
-  }
-
-  // One bulk ANN extension (parallel inside, deterministic at any
-  // thread count), then persist the graph once for the batch.
-  MLAKE_RETURN_NOT_OK(ann_->Build(internal_ids, embeddings, options_.exec));
-  return PersistGraph();
-}
 
 Result<std::unique_ptr<nn::Model>> ModelLake::LoadModel(
     const std::string& id) const {
@@ -1152,6 +1114,10 @@ Result<std::unique_ptr<nn::Model>> ModelLake::LoadModelUnlocked(
 
 Status ModelLake::UpdateCard(const metadata::ModelCard& card) {
   std::unique_lock<std::shared_mutex> lock(mu_);
+  return UpdateCardLocked(card);
+}
+
+Status ModelLake::UpdateCardLocked(const metadata::ModelCard& card) {
   if (!catalog_->Contains("model", card.model_id)) {
     return Status::NotFound("model not in lake: " + card.model_id);
   }
@@ -1160,10 +1126,13 @@ Status ModelLake::UpdateCard(const metadata::ModelCard& card) {
   // Durably drop the manifest first: crash after this point and the
   // next open rebuilds from the catalog (which has the new card).
   MLAKE_RETURN_NOT_OK(InvalidateIndexSnapshotsUnlocked());
-  MLAKE_RETURN_NOT_OK(catalog_->PutDoc("card", card.model_id, card.ToJson()));
+  Json doc = card.ToJson();
+  MLAKE_RETURN_NOT_OK(catalog_->PutDoc("card", card.model_id, doc));
   bm25_.Add(card.model_id, card.SearchText());  // replaces
   ++mutation_epoch_;
-  return Status::OK();
+  Json payload = Json::MakeObject();
+  payload.Set("card", std::move(doc));
+  return LogAppliedLocked(kUpdateCardOp, std::move(payload));
 }
 
 std::vector<std::string> ModelLake::ListModelsUnlocked() const {
@@ -1348,38 +1317,20 @@ Status ModelLake::RegisterDatasetLocked(
     return Status::AlreadyExists("dataset already registered: " + name);
   }
   Json doc = Json::MakeObject();
-  Json arr = Json::MakeArray();
-  for (const std::string& s : shards) arr.Append(Json(s));
-  doc.Set("shards", std::move(arr));
+  doc.Set("shards", ShardsToJson(shards));
   MLAKE_RETURN_NOT_OK(catalog_->PutDoc("dataset", name, doc));
   ++mutation_epoch_;
   MLAKE_RETURN_NOT_OK(dataset_lsh_->Add(name, DatasetSignature(shards)));
-  if (!options_.replication_log) return Status::OK();
-  // Apply-then-log, like RecordEdgeLocked.
-  MLAKE_RETURN_NOT_OK(catalog_->Sync());
-  storage::Intent intent;
-  intent.op = "register_dataset";
   Json payload = Json::MakeObject();
   payload.Set("name", name);
-  Json shards_json = Json::MakeArray();
-  for (const std::string& s : shards) shards_json.Append(Json(s));
-  payload.Set("shards", std::move(shards_json));
-  intent.payload = std::move(payload);
-  MLAKE_ASSIGN_OR_RETURN(intent.seq, BeginIntentLocked(intent));
-  return journal_->Commit(intent.seq);
+  payload.Set("shards", ShardsToJson(shards));
+  return LogAppliedLocked(kRegisterDatasetOp, std::move(payload));
 }
 
 Result<std::vector<std::string>> ModelLake::DatasetShardsUnlocked(
     const std::string& name) const {
   MLAKE_ASSIGN_OR_RETURN(Json doc, catalog_->GetDoc("dataset", name));
-  std::vector<std::string> shards;
-  if (const Json* arr = doc.Find("shards");
-      arr != nullptr && arr->is_array()) {
-    for (const Json& s : arr->AsArray()) {
-      if (s.is_string()) shards.push_back(s.AsString());
-    }
-  }
-  return shards;
+  return ShardsFromJson(doc);
 }
 
 Result<std::vector<std::string>> ModelLake::DatasetShards(
@@ -1409,25 +1360,7 @@ Status ModelLake::RecordEdgeLocked(const versioning::VersionEdge& edge) {
   // the epoch only get more conservative: a mid-pass compaction aborts
   // its swap and retries, and the stats/plan caches rebuild lazily.
   ++mutation_epoch_;
-  if (!options_.replication_log) return Status::OK();
-  // Apply-then-log: make the edge durable first, then append + commit
-  // the log entry so replicas replay it. A crash between Sync and
-  // Commit leaves a pending intent whose mutation already applied;
-  // Recover completes the Commit (never rolls it back). A crash before
-  // Begin loses only the log entry — the periodic fingerprint exchange
-  // catches the divergence and a re-seed repairs it.
-  MLAKE_RETURN_NOT_OK(catalog_->Sync());
-  storage::Intent intent;
-  intent.op = "record_edge";
-  Json payload = Json::MakeObject();
-  payload.Set("parent", edge.parent);
-  payload.Set("child", edge.child);
-  payload.Set("type", std::string(versioning::EdgeTypeToString(edge.type)));
-  payload.Set("confidence", edge.confidence);
-  if (!edge.params.is_null()) payload.Set("params", edge.params);
-  intent.payload = std::move(payload);
-  MLAKE_ASSIGN_OR_RETURN(intent.seq, BeginIntentLocked(intent));
-  return journal_->Commit(intent.seq);
+  return LogAppliedLocked(kRecordEdgeOp, versioning::EdgeToJson(edge));
 }
 
 // ----------------------------------------------------------- replication
@@ -1459,7 +1392,7 @@ Result<Json> ModelLake::ReplicationLogJson(uint64_t from_seq,
   const bool exhausted = entries.size() < max;
   Json arr = Json::MakeArray();
   for (const storage::Intent& entry : entries) {
-    if (entry.op == "compact") continue;  // local housekeeping, not state
+    if (entry.op == kCompactOp) continue;  // local housekeeping, not state
     arr.Append(entry.ToJson());
   }
   Json out = Json::MakeObject();
@@ -1490,10 +1423,7 @@ std::string ModelLake::ReplicationFingerprintUnlocked() const {
   std::vector<std::string> edges;
   edges.reserve(graph_.NumEdges());
   for (const versioning::VersionEdge& e : graph_.Edges()) {
-    edges.push_back(
-        StrFormat("edge|%s|%s|%s|%.17g|%s", e.parent.c_str(), e.child.c_str(),
-                  std::string(versioning::EdgeTypeToString(e.type)).c_str(),
-                  e.confidence, e.params.is_null() ? "" : e.params.Dump().c_str()));
+    edges.push_back("edge|" + versioning::EdgeKey(e));
   }
   std::sort(edges.begin(), edges.end());
   for (const std::string& e : edges) mix(e);
@@ -1535,13 +1465,7 @@ Result<Json> ModelLake::ReplicationSeedJson() const {
   }
   Json edges = Json::MakeArray();
   for (const versioning::VersionEdge& e : graph_.Edges()) {
-    Json ej = Json::MakeObject();
-    ej.Set("parent", e.parent);
-    ej.Set("child", e.child);
-    ej.Set("type", std::string(versioning::EdgeTypeToString(e.type)));
-    ej.Set("confidence", e.confidence);
-    if (!e.params.is_null()) ej.Set("params", e.params);
-    edges.Append(std::move(ej));
+    edges.Append(versioning::EdgeToJson(e));
   }
   Json out = Json::MakeObject();
   out.Set("epoch", Json(journal_->epoch()));
@@ -1565,98 +1489,94 @@ Status ModelLake::ApplyReplicated(
   forced_seq_ = entry.seq;
   forced_epoch_ = entry.epoch;
   Status applied = [&]() -> Status {
-    if (entry.op == "ingest" && !entry.digests.empty()) {
-      if (entry.digests.size() != entry.ids.size()) {
-        return Status::Corruption("replicated ingest: ids/digests mismatch");
-      }
+    if (entry.op == kIngestOp) {
       const Json* cards = entry.payload.Find("cards");
       if (cards == nullptr || !cards->is_array() ||
           cards->AsArray().size() != entry.ids.size()) {
         return Status::Corruption("replicated ingest: bad cards payload");
       }
-      // Decode every artifact and verify its bytes against the shipped
-      // digest before anything durable changes.
-      std::vector<std::unique_ptr<nn::Model>> models;
-      models.reserve(entry.ids.size());
-      std::vector<IngestRequest> batch(entry.ids.size());
-      for (size_t i = 0; i < entry.ids.size(); ++i) {
-        auto it = blob_bytes.find(entry.digests[i]);
-        if (it == blob_bytes.end()) {
-          return Status::InvalidArgument("missing blob bytes for digest " +
-                                         entry.digests[i]);
-        }
-        if (Sha256::HexDigest(it->second) != entry.digests[i]) {
-          return Status::Corruption("blob bytes do not match digest " +
-                                    entry.digests[i]);
-        }
-        MLAKE_ASSIGN_OR_RETURN(storage::ModelArtifact artifact,
-                               storage::ParseArtifact(it->second));
-        MLAKE_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> model,
-                               storage::ModelFromArtifact(artifact));
-        MLAKE_ASSIGN_OR_RETURN(
-            batch[i].card, metadata::ModelCard::FromJson(cards->AsArray()[i]));
-        if (batch[i].card.model_id != entry.ids[i]) {
-          return Status::Corruption("replicated ingest: card/id mismatch for " +
-                                    entry.ids[i]);
-        }
-        models.push_back(std::move(model));
-        batch[i].model = models.back().get();
-      }
-      MLAKE_ASSIGN_OR_RETURN(std::vector<std::string> ids,
-                             IngestModelsLocked(batch));
-      // Determinism check: re-serializing the decoded artifacts must
-      // land on the leader's digests, or this replica just diverged.
-      for (size_t i = 0; i < ids.size(); ++i) {
-        auto it = digest_by_id_.find(ids[i]);
-        if (it == digest_by_id_.end() || it->second != entry.digests[i]) {
-          return Status::Corruption("replicated ingest: digest diverged for " +
-                                    ids[i]);
+      std::vector<metadata::ModelCard> decoded(entry.ids.size());
+      for (size_t i = 0; i < decoded.size(); ++i) {
+        MLAKE_ASSIGN_OR_RETURN(decoded[i], metadata::ModelCard::FromJson(
+                                               cards->AsArray()[i]));
+        if (decoded[i].model_id != entry.ids[i]) {
+          return Status::Corruption(
+              "replicated ingest: card/id mismatch for " + entry.ids[i]);
         }
       }
-      return Status::OK();
-    }
-    if (entry.op == "ingest") {
-      // Metadata-only batch: cards + embeddings ride in the payload.
-      const Json* cards = entry.payload.Find("cards");
+      std::vector<IngestRow> rows;
+      if (!entry.digests.empty()) {
+        if (entry.digests.size() != entry.ids.size()) {
+          return Status::Corruption("replicated ingest: ids/digests mismatch");
+        }
+        // Decode every artifact and verify its bytes against the shipped
+        // digest before anything durable changes.
+        std::vector<std::unique_ptr<nn::Model>> models;
+        std::vector<IngestRequest> batch(entry.ids.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          auto it = blob_bytes.find(entry.digests[i]);
+          if (it == blob_bytes.end()) {
+            return Status::InvalidArgument("missing blob bytes for digest " +
+                                           entry.digests[i]);
+          }
+          if (Sha256::HexDigest(it->second) != entry.digests[i]) {
+            return Status::Corruption("blob bytes do not match digest " +
+                                      entry.digests[i]);
+          }
+          MLAKE_ASSIGN_OR_RETURN(storage::ModelArtifact artifact,
+                                 storage::ParseArtifact(it->second));
+          MLAKE_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> model,
+                                 storage::ModelFromArtifact(artifact));
+          batch[i].model = model.get();
+          models.push_back(std::move(model));
+          batch[i].card = std::move(decoded[i]);
+        }
+        MLAKE_ASSIGN_OR_RETURN(rows, ModelRows(batch));
+        // Determinism check: re-serializing the decoded artifacts must
+        // land on the leader's digests, or this replica would diverge.
+        for (size_t i = 0; i < rows.size(); ++i) {
+          if (rows[i].digest != entry.digests[i]) {
+            return Status::Corruption(
+                "replicated ingest: digest diverged for " + entry.ids[i]);
+          }
+        }
+        return IngestRowsLocked(std::move(rows)).status();
+      }
+      // Metadata-only batch: the embeddings ride in the payload.
       const Json* embeddings = entry.payload.Find("embeddings");
-      if (cards == nullptr || !cards->is_array() || embeddings == nullptr ||
-          !embeddings->is_array() ||
-          cards->AsArray().size() != embeddings->AsArray().size()) {
+      if (embeddings == nullptr || !embeddings->is_array() ||
+          embeddings->AsArray().size() != decoded.size()) {
         return Status::Corruption("replicated card ingest: bad payload");
       }
-      std::vector<CardIngest> batch(cards->AsArray().size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        MLAKE_ASSIGN_OR_RETURN(
-            batch[i].card, metadata::ModelCard::FromJson(cards->AsArray()[i]));
-        MLAKE_ASSIGN_OR_RETURN(batch[i].embedding,
+      rows.resize(decoded.size());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        rows[i].card = &decoded[i];
+        MLAKE_ASSIGN_OR_RETURN(rows[i].embedding,
                                FloatsFromJson(embeddings->AsArray()[i]));
       }
-      Result<std::vector<std::string>> ids = IngestCardsLocked(batch);
-      return ids.ok() ? Status::OK() : ids.status();
+      return IngestRowsLocked(std::move(rows)).status();
     }
-    if (entry.op == "record_edge") {
-      versioning::VersionEdge edge;
-      edge.parent = entry.payload.GetString("parent");
-      edge.child = entry.payload.GetString("child");
-      MLAKE_ASSIGN_OR_RETURN(
-          edge.type,
-          versioning::EdgeTypeFromString(entry.payload.GetString("type")));
-      edge.confidence = entry.payload.GetDouble("confidence", 1.0);
-      if (const Json* params = entry.payload.Find("params")) {
-        edge.params = *params;
-      }
+    if (entry.op == kRecordEdgeOp) {
+      MLAKE_ASSIGN_OR_RETURN(versioning::VersionEdge edge,
+                             versioning::EdgeFromJson(entry.payload));
       return RecordEdgeLocked(edge);
     }
-    if (entry.op == "register_dataset") {
-      std::string name = entry.payload.GetString("name");
-      std::vector<std::string> shards;
-      if (const Json* arr = entry.payload.Find("shards");
-          arr != nullptr && arr->is_array()) {
-        for (const Json& s : arr->AsArray()) {
-          if (s.is_string()) shards.push_back(s.AsString());
-        }
+    if (entry.op == kRegisterDatasetOp) {
+      return RegisterDatasetLocked(entry.payload.GetString("name"),
+                                   ShardsFromJson(entry.payload));
+    }
+    if (entry.op == kUpdateCardOp) {
+      const Json* card_json = entry.payload.Find("card");
+      if (card_json == nullptr) {
+        return Status::Corruption("replicated update_card: no card");
       }
-      return RegisterDatasetLocked(name, shards);
+      MLAKE_ASSIGN_OR_RETURN(metadata::ModelCard card,
+                             metadata::ModelCard::FromJson(*card_json));
+      if (!catalog_->Contains("model", card.model_id)) {
+        return Status::Corruption(
+            "replicated update_card: model not in lake: " + card.model_id);
+      }
+      return UpdateCardLocked(card);
     }
     return Status::InvalidArgument("unknown replicated op: " + entry.op);
   }();
@@ -1702,28 +1622,15 @@ Status ModelLake::ReseedFromManifest(
     (void)stored;
   }
 
-  // 2. Catalog: force model/card/embedding docs to the seed's exact
-  // bytes — extra ids are deleted, divergent docs overwritten.
-  for (const char* kind : {"model", "card", "embedding"}) {
-    for (const std::string& id : catalog_->ListIds(kind)) {
-      auto it = seed.find(id);
-      if (it == seed.end() || it->second->Find(kind) == nullptr) {
-        MLAKE_RETURN_NOT_OK(catalog_->DeleteDoc(kind, id));
-      }
-    }
-    for (const auto& [id, entry] : seed) {
-      const Json* doc = entry->Find(kind);
-      if (doc == nullptr) continue;
-      bool same = false;
-      if (Result<Json> existing = catalog_->GetDoc(kind, id); existing.ok()) {
-        same = existing.ValueUnsafe().Dump() == doc->Dump();
-      }
-      if (!same) MLAKE_RETURN_NOT_OK(catalog_->PutDoc(kind, id, *doc));
+  // 2. Catalog: force every model/card/embedding/dataset doc to the
+  // seed's exact bytes — extra ids are deleted, divergent docs
+  // overwritten, datasets replaced wholesale.
+  std::map<std::string, std::map<std::string, const Json*>> want;
+  for (const auto& [id, entry] : seed) {
+    for (const char* kind : {"model", "card", "embedding"}) {
+      if (const Json* doc = entry->Find(kind)) want[kind][id] = doc;
     }
   }
-
-  // 3. Datasets, wholesale.
-  std::map<std::string, const Json*> want_datasets;
   if (const Json* datasets = manifest.Find("datasets");
       datasets != nullptr && datasets->is_array()) {
     for (const Json& d : datasets->AsArray()) {
@@ -1732,24 +1639,25 @@ Status ModelLake::ReseedFromManifest(
       if (name.empty() || doc == nullptr) {
         return Status::Corruption("seed manifest: bad dataset entry");
       }
-      want_datasets[name] = doc;
+      want["dataset"][name] = doc;
     }
   }
-  for (const std::string& name : catalog_->ListIds("dataset")) {
-    if (want_datasets.count(name) == 0) {
-      MLAKE_RETURN_NOT_OK(catalog_->DeleteDoc("dataset", name));
+  for (const char* kind : {"model", "card", "embedding", "dataset"}) {
+    const std::map<std::string, const Json*>& docs = want[kind];
+    for (const std::string& id : catalog_->ListIds(kind)) {
+      if (docs.count(id) == 0) {
+        MLAKE_RETURN_NOT_OK(catalog_->DeleteDoc(kind, id));
+      }
     }
-  }
-  for (const auto& [name, doc] : want_datasets) {
-    bool same = false;
-    if (Result<Json> existing = catalog_->GetDoc("dataset", name);
-        existing.ok()) {
-      same = existing.ValueUnsafe().Dump() == doc->Dump();
+    for (const auto& [id, doc] : docs) {
+      Result<Json> existing = catalog_->GetDoc(kind, id);
+      if (!existing.ok() || existing.ValueUnsafe().Dump() != doc->Dump()) {
+        MLAKE_RETURN_NOT_OK(catalog_->PutDoc(kind, id, *doc));
+      }
     }
-    if (!same) MLAKE_RETURN_NOT_OK(catalog_->PutDoc("dataset", name, *doc));
   }
 
-  // 4. Lineage, wholesale: nodes for artifact-backed models, then the
+  // 3. Lineage, wholesale: nodes for artifact-backed models, then the
   // seed's edges (AddEdge auto-registers any endpoint it is missing).
   versioning::ModelGraph fresh;
   for (const auto& [id, entry] : seed) {
@@ -1762,13 +1670,8 @@ Status ModelLake::ReseedFromManifest(
   if (const Json* edges = manifest.Find("edges");
       edges != nullptr && edges->is_array()) {
     for (const Json& ej : edges->AsArray()) {
-      versioning::VersionEdge edge;
-      edge.parent = ej.GetString("parent");
-      edge.child = ej.GetString("child");
-      MLAKE_ASSIGN_OR_RETURN(
-          edge.type, versioning::EdgeTypeFromString(ej.GetString("type")));
-      edge.confidence = ej.GetDouble("confidence", 1.0);
-      if (const Json* params = ej.Find("params")) edge.params = *params;
+      MLAKE_ASSIGN_OR_RETURN(versioning::VersionEdge edge,
+                             versioning::EdgeFromJson(ej));
       MLAKE_RETURN_NOT_OK(fresh.AddEdge(std::move(edge)));
     }
   }
@@ -1776,11 +1679,11 @@ Status ModelLake::ReseedFromManifest(
   MLAKE_RETURN_NOT_OK(PersistGraph());
   MLAKE_RETURN_NOT_OK(catalog_->Sync());
 
-  // 5. Every seeded artifact was digest-verified above, so quarantine
+  // 4. Every seeded artifact was digest-verified above, so quarantine
   // state is reset.
   degraded_.clear();
 
-  // 6. The local log below upto_seq no longer describes what is applied;
+  // 5. The local log below upto_seq no longer describes what is applied;
   // truncate it and adopt the leader's epoch so a later promote resumes
   // from a clean floor.
   const uint64_t upto =
@@ -1792,7 +1695,7 @@ Status ModelLake::ReseedFromManifest(
     MLAKE_RETURN_NOT_OK(journal_->SetEpoch(seed_epoch));
   }
 
-  // 7. Rebuild every index from the repaired catalog.
+  // 6. Rebuild every index from the repaired catalog.
   MLAKE_RETURN_NOT_OK(InvalidateIndexSnapshotsUnlocked());
   MLAKE_RETURN_NOT_OK(RebuildIndices());
   ++mutation_epoch_;
@@ -1828,11 +1731,52 @@ Status ModelLake::TruncateReplicationLog(uint64_t upto_seq) {
 
 Result<std::string> ModelLake::ArtifactDigest(const std::string& id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
+  return ArtifactDigestUnlocked(id);
+}
+
+Result<std::string> ModelLake::ArtifactDigestUnlocked(
+    const std::string& id) const {
   if (auto it = digest_by_id_.find(id); it != digest_by_id_.end()) {
     return it->second;
   }
   MLAKE_ASSIGN_OR_RETURN(Json model_doc, catalog_->GetDoc("model", id));
   return model_doc.GetString("artifact_digest");
+}
+
+Result<bool> ModelLake::HasApplied(const storage::Intent& entry) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  if (entry.op == kIngestOp) {
+    if (entry.ids.empty()) return false;
+    for (size_t i = 0; i < entry.ids.size(); ++i) {
+      auto digest = ArtifactDigestUnlocked(entry.ids[i]);
+      if (!digest.ok()) {
+        if (digest.status().IsNotFound()) return false;
+        return digest.status();
+      }
+      std::string want =
+          i < entry.digests.size() ? entry.digests[i] : std::string();
+      if (digest.ValueUnsafe() != want) {
+        return Status::Corruption(
+            "replica diverged on " + entry.ids[i] + ": local digest \"" +
+            digest.ValueUnsafe() + "\" vs log \"" + want + "\"");
+      }
+    }
+    return true;
+  }
+  if (entry.op == kRecordEdgeOp) {
+    return graph_.HasEdge(entry.payload.GetString("parent"),
+                          entry.payload.GetString("child"));
+  }
+  if (entry.op == kRegisterDatasetOp) {
+    return DatasetShardsUnlocked(entry.payload.GetString("name")).ok();
+  }
+  if (entry.op == kUpdateCardOp) {
+    const Json* card = entry.payload.Find("card");
+    if (card == nullptr) return false;
+    Result<Json> doc = catalog_->GetDoc("card", card->GetString("model_id"));
+    return doc.ok() && doc.ValueUnsafe() == *card;
+  }
+  return false;
 }
 
 bool ModelLake::HasEdge(const std::string& parent,
@@ -2631,20 +2575,6 @@ Result<Json> ModelLake::Cite(const std::string& id) const {
 
 // ------------------------------------------------------------- governance
 
-namespace {
-
-/// The export's (and citation heritage's) edge order: the same
-/// content-derived key the replication fingerprint sorts by, so leader
-/// and replica agree without consulting insertion order.
-std::string ExportEdgeKey(const versioning::VersionEdge& e) {
-  return StrFormat("%s|%s|%s|%.17g|%s", e.parent.c_str(), e.child.c_str(),
-                   std::string(versioning::EdgeTypeToString(e.type)).c_str(),
-                   e.confidence,
-                   e.params.is_null() ? "" : e.params.Dump().c_str());
-}
-
-}  // namespace
-
 Result<Json> ModelLake::CitationDoc(const std::string& id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (!catalog_->Contains("model", id)) {
@@ -2696,7 +2626,7 @@ Result<Json> ModelLake::CitationDoc(const std::string& id) const {
 
   // Heritage chain: one record per hop of the path, carrying the edge
   // that justifies it. Multiple recorded edges between the same pair
-  // pick the ExportEdgeKey-smallest — deterministic like everything
+  // pick the EdgeKey-smallest — deterministic like everything
   // else in this document.
   Json heritage = Json::MakeArray();
   for (size_t i = 0; i + 1 < path.size(); ++i) {
@@ -2704,7 +2634,7 @@ Result<Json> ModelLake::CitationDoc(const std::string& id) const {
     std::string best_key;
     for (const versioning::VersionEdge& e : graph_.Edges()) {
       if (e.parent != path[i] || e.child != path[i + 1]) continue;
-      std::string key = ExportEdgeKey(e);
+      std::string key = versioning::EdgeKey(e);
       if (best == nullptr || key < best_key) {
         best = &e;
         best_key = std::move(key);
@@ -2757,7 +2687,7 @@ ModelLake::ExportIterator::ExportIterator(const ModelLake* lake)
   std::sort(edges_.begin(), edges_.end(),
             [](const versioning::VersionEdge& a,
                const versioning::VersionEdge& b) {
-              return ExportEdgeKey(a) < ExportEdgeKey(b);
+              return versioning::EdgeKey(a) < versioning::EdgeKey(b);
             });
 }
 
@@ -2809,11 +2739,7 @@ bool ModelLake::ExportIterator::Next(std::string* line) {
     case Stage::kEdges: {
       const versioning::VersionEdge& e = edges_[cursor_++];
       record.Set("kind", std::string("edge"));
-      record.Set("parent", e.parent);
-      record.Set("child", e.child);
-      record.Set("type", std::string(versioning::EdgeTypeToString(e.type)));
-      record.Set("confidence", e.confidence);
-      if (!e.params.is_null()) record.Set("params", e.params);
+      record = versioning::EdgeToJson(e, std::move(record));
       break;
     }
     case Stage::kDatasets: {

@@ -135,8 +135,9 @@ struct LakeOptions {
 
   /// Promote the intent journal into a replayable op log: committed
   /// entries are retained as `<seq>.op` files (strictly increasing
-  /// seqs, epoch-stamped) and ingest/lineage/dataset mutations record a
-  /// replay payload, so a leader can stream the log to read replicas.
+  /// seqs, epoch-stamped) and ingest/lineage/dataset/card-edit
+  /// mutations record a replay payload, so a leader can stream the log
+  /// to read replicas.
   /// Off by default — a standalone lake keeps the delete-on-commit
   /// journal and pays nothing.
   bool replication_log = false;
@@ -241,11 +242,12 @@ class ModelLake {
   /// Metadata-only batch ingest: stores cards and embeddings (no
   /// artifact — LoadModel/LoadArtifact on such ids fail with
   /// FailedPrecondition) and updates every index incrementally.
-  /// Journaled and all-or-nothing like IngestModels, but O(batch)
-  /// memory and time regardless of lake size: no artifact
-  /// serialization, no forward passes, no index rebuild. This is the
-  /// streaming lake-generation path. Returns the ingested ids in batch
-  /// order.
+  /// Journaled and all-or-nothing on the same write path as
+  /// IngestModels (a failed batch is rolled back and never enters the
+  /// replayable log), but O(batch) memory and time regardless of lake
+  /// size: no artifact serialization, no forward passes, no index
+  /// rebuild. This is the streaming lake-generation path. Returns the
+  /// ingested ids in batch order.
   Result<std::vector<std::string>> IngestCards(
       const std::vector<CardIngest>& batch);
 
@@ -264,6 +266,9 @@ class ModelLake {
   Result<std::shared_ptr<const storage::ModelArtifact>> LoadArtifact(
       const std::string& id) const;
 
+  /// Replaces a model's card. Apply-then-log like RecordEdge: on a
+  /// replication_log lake the edit is made durable, then journaled as
+  /// an update_card op that replicas replay.
   Status UpdateCard(const metadata::ModelCard& card);
 
   /// ListModels and NumModels share one catalog scan path under the
@@ -449,13 +454,19 @@ class ModelLake {
   Result<Json> ReplicationSeedJson() const;
 
   /// Applies one shipped log entry at its original seq + epoch through
-  /// the normal journaled all-or-nothing ingest path, so the replica's
-  /// catalog, indexes and log stay byte-compatible with the leader's.
-  /// `blob_bytes` maps each digest the entry references to its artifact
-  /// bytes (fetched from the leader); bytes are digest-verified before
-  /// anything is applied.
+  /// the lake's one write path (all-or-nothing ingest, apply-then-log
+  /// edge/dataset/card edit), so the replica's catalog, indexes and log
+  /// stay byte-compatible with the leader's. `blob_bytes` maps each
+  /// digest the entry references to its artifact bytes (fetched from
+  /// the leader); bytes are digest-verified before anything is applied.
   Status ApplyReplicated(const storage::Intent& entry,
                          const std::map<std::string, std::string>& blob_bytes);
+
+  /// True when shipped log `entry` is already reflected in this lake
+  /// (redelivery after a lost replica watermark); Corruption when the
+  /// lake holds a *different* artifact for one of the entry's ids. A
+  /// replica checks this before fetching blobs for ApplyReplicated.
+  Result<bool> HasApplied(const storage::Intent& entry) const;
 
   /// Divergence repair: diffs this lake against a leader seed manifest
   /// (ReplicationSeedJson), deletes divergent/extra models, re-ingests
@@ -645,6 +656,20 @@ class ModelLake {
 
   explicit ModelLake(LakeOptions options) : options_(std::move(options)) {}
 
+  /// One model of an ingest batch as the write path stores it, built by
+  /// a front end (IngestModels, IngestCards, ApplyReplicated) and moved
+  /// in. A row without an artifact is metadata-only.
+  struct IngestRow {
+    /// Owned by the front end's batch, which outlives the write.
+    const metadata::ModelCard* card = nullptr;
+    /// Catalog "model" doc; filled in for metadata-only rows.
+    Json model_doc;
+    /// Must be EmbeddingDim() floats.
+    std::vector<float> embedding;
+    std::string artifact_bytes;
+    std::string digest;  ///< SHA-256 of artifact_bytes; empty = none
+  };
+
   /// The lake's derived index state as one unit: built fresh from the
   /// catalog (rebuild, compaction) or loaded from a snapshot
   /// generation, then installed under the exclusive lock in one swap so
@@ -716,35 +741,35 @@ class ModelLake {
       const std::vector<std::string>& shards) const;
 
   // Unlocked implementations; callers hold the appropriate lock.
-  Status ValidateIngest(const IngestRequest& request,
-                        const std::vector<std::string>& batch_ids) const;
-  Status IndexModel(const std::string& id, const metadata::ModelCard& card);
-  Result<std::vector<std::string>> IngestModelsLocked(
-      const std::vector<IngestRequest>& batch);
-  Result<std::vector<std::string>> IngestCardsLocked(
-      const std::vector<CardIngest>& batch);
+
+  /// The IngestModels front end: validates each request's model and
+  /// card, then serializes, hashes and embeds (parallel over
+  /// options.exec, results in batch order). Changes nothing.
+  Result<std::vector<IngestRow>> ModelRows(
+      const std::vector<IngestRequest>& batch) const;
+  /// The lake's one ingest write path (write-ahead): validates ids,
+  /// journals the intent, writes blobs, catalog docs and indexes, then
+  /// syncs and commits — or rolls the batch back and aborts the intent.
+  Result<std::vector<std::string>> IngestRowsLocked(
+      std::vector<IngestRow> rows);
+  /// The apply-then-log tail of record_edge, register_dataset and
+  /// update_card: on a replication_log lake, syncs the applied mutation
+  /// and journals `op` with `payload` (Begin + Commit).
+  Status LogAppliedLocked(const char* op, Json payload);
   /// Journals `intent` — at forced_seq_ (replica apply, preserving the
   /// leader's seq + epoch stamp) when set, else with a fresh local seq.
   Result<uint64_t> BeginIntentLocked(const storage::Intent& intent);
   Status RecordEdgeLocked(const versioning::VersionEdge& edge);
   Status RegisterDatasetLocked(const std::string& name,
                                const std::vector<std::string>& shards);
+  Status UpdateCardLocked(const metadata::ModelCard& card);
+  Result<std::string> ArtifactDigestUnlocked(const std::string& id) const;
   std::string ReplicationFingerprintUnlocked() const;
-  /// The mutation phase of IngestCards (catalog docs + incremental
-  /// index updates; no blobs, no graph).
-  Status ApplyCards(const std::vector<CardIngest>& batch);
   /// Incremental index rollback of a failed ingest batch: removes the
   /// batch's BM25 docs and digest entries and truncates the ANN delta
   /// tail — O(batch), not O(lake). Caller holds mu_ exclusive.
   void RollbackBatchIndexesLocked(const std::vector<std::string>& ids,
                                   size_t pre_ann_ids, size_t pre_ann_delta);
-  /// The mutation phase of an ingest (blobs, catalog docs, indices,
-  /// graph). Runs under a journaled intent; any failure triggers
-  /// rollback in IngestModelsLocked.
-  Status ApplyIngest(const std::vector<IngestRequest>& batch,
-                     const std::vector<std::string>& digests,
-                     const std::vector<std::string>& artifact_bytes,
-                     const std::vector<std::vector<float>>& embeddings);
   std::vector<std::string> ListModelsUnlocked() const;
   /// ListModelsUnlocked minus degraded ids — what search/query paths
   /// iterate so a quarantined model never surfaces in results.

@@ -189,7 +189,7 @@ Status Replicator::ApplyBatchLocked(const Json& batch, size_t* applied) {
       MLAKE_RETURN_NOT_OK(ApplyEntryLocked(entry, inline_blobs, applied));
     }
   }
-  // Local-only leader ops ("compact") occupy seqs that are never
+  // Local-only leader ops (index compaction) occupy seqs that are never
   // shipped; when the scan was exhausted the watermark may fast-forward
   // across those gaps to the leader's high-water mark.
   if (batch.GetBool("exhausted", false) && last_seq > applied_seq_.load()) {
@@ -203,7 +203,7 @@ Status Replicator::ApplyEntryLocked(const storage::Intent& entry,
                                     const Json* inline_blobs,
                                     size_t* applied) {
   if (entry.seq <= applied_seq_.load()) return Status::OK();
-  MLAKE_ASSIGN_OR_RETURN(bool done, AlreadyApplied(entry));
+  MLAKE_ASSIGN_OR_RETURN(bool done, lake_->HasApplied(entry));
   if (!done) {
     std::map<std::string, std::string> blobs;
     for (const std::string& digest : entry.digests) {
@@ -227,35 +227,6 @@ Status Replicator::ApplyEntryLocked(const storage::Intent& entry,
   // watermark); only now may the watermark pass it.
   applied_seq_ = entry.seq;
   return PersistState();
-}
-
-Result<bool> Replicator::AlreadyApplied(const storage::Intent& entry) const {
-  if (entry.op == "ingest") {
-    if (entry.ids.empty()) return false;
-    for (size_t i = 0; i < entry.ids.size(); ++i) {
-      auto digest = lake_->ArtifactDigest(entry.ids[i]);
-      if (!digest.ok()) {
-        if (digest.status().IsNotFound()) return false;
-        return digest.status();
-      }
-      std::string want =
-          i < entry.digests.size() ? entry.digests[i] : std::string();
-      if (digest.ValueUnsafe() != want) {
-        return Status::Corruption(
-            "replica diverged on " + entry.ids[i] + ": local digest \"" +
-            digest.ValueUnsafe() + "\" vs log \"" + want + "\"");
-      }
-    }
-    return true;
-  }
-  if (entry.op == "record_edge") {
-    return lake_->HasEdge(entry.payload.GetString("parent"),
-                          entry.payload.GetString("child"));
-  }
-  if (entry.op == "register_dataset") {
-    return lake_->DatasetShards(entry.payload.GetString("name")).ok();
-  }
-  return false;
 }
 
 Result<std::string> Replicator::FetchBlob(const std::string& digest) {

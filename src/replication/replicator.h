@@ -133,11 +133,6 @@ class Replicator : public server::ReplicationControl {
   Status ApplyBatchLocked(const Json& batch, size_t* applied);
   Status ApplyEntryLocked(const storage::Intent& entry,
                           const Json* inline_blobs, size_t* applied);
-  /// True when `entry` is already reflected in the lake (redelivery
-  /// after a lost watermark); Corruption when the lake holds a
-  /// *different* answer for one of the entry's ids.
-  Result<bool> AlreadyApplied(const storage::Intent& entry) const;
-
   Result<std::string> FetchBlob(const std::string& digest);
   Status ReseedFromLeaderLocked();
   Status CheckDivergenceLocked();

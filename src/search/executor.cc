@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -211,10 +212,50 @@ class PredicateEvaluator {
   std::unordered_map<std::string, std::set<std::string>> call_sets_;
 };
 
+/// Keeps the candidates whose card passes `where`, in order.
+Result<std::vector<std::string>> FilterCandidates(
+    const SearchContext& lake, const Expr& where,
+    std::vector<std::string> candidates) {
+  PredicateEvaluator evaluator(lake);
+  MLAKE_RETURN_NOT_OK(evaluator.Prepare(where));
+  std::vector<std::string> kept;
+  for (std::string& id : candidates) {
+    MLAKE_ASSIGN_OR_RETURN(metadata::ModelCard card, lake.CardFor(id));
+    MLAKE_ASSIGN_OR_RETURN(bool keep, evaluator.Evaluate(where, card));
+    if (keep) kept.push_back(std::move(id));
+  }
+  return kept;
+}
+
+/// Every candidate but the query model, with its embedding dot product
+/// against `query_vec` (`has_dot == false` on a dimension mismatch).
+Result<std::vector<HybridCandidate>> DotCandidates(
+    const SearchContext& lake, std::vector<std::string> candidates,
+    const std::string& query_id, const std::vector<float>& query_vec) {
+  std::vector<HybridCandidate> out;
+  out.reserve(candidates.size());
+  for (std::string& id : candidates) {
+    if (id == query_id) continue;  // a model is not its own answer
+    MLAKE_ASSIGN_OR_RETURN(std::vector<float> vec, lake.EmbeddingFor(id));
+    HybridCandidate c;
+    c.id = std::move(id);
+    if (vec.size() == query_vec.size()) {
+      double dot = 0.0;
+      for (size_t i = 0; i < vec.size(); ++i) {
+        dot += static_cast<double>(vec[i]) * query_vec[i];
+      }
+      c.has_dot = true;
+      c.dot = dot;
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
 /// Computes ranking scores (higher = better) for the given candidates.
 Result<std::vector<RankedModel>> RankCandidates(
     const SearchContext& lake, const Query& query,
-    const std::vector<std::string>& candidates, std::string* plan) {
+    std::vector<std::string> candidates, std::string* plan) {
   std::vector<RankedModel> out;
   auto score_all_by_card = [&](auto scorer) -> Status {
     for (const std::string& id : candidates) {
@@ -265,15 +306,11 @@ Result<std::vector<RankedModel>> RankCandidates(
                            lake.EmbeddingFor(query_id));
     *plan += "; rank by " + query.rank.function +
              " (cosine over lake embeddings)";
-    for (const std::string& id : candidates) {
-      if (id == query_id) continue;  // a model is not its own answer
-      MLAKE_ASSIGN_OR_RETURN(std::vector<float> vec, lake.EmbeddingFor(id));
-      if (vec.size() != query_vec.size()) continue;
-      double dot = 0.0;
-      for (size_t i = 0; i < vec.size(); ++i) {
-        dot += static_cast<double>(vec[i]) * query_vec[i];
-      }
-      out.push_back(RankedModel{id, dot});
+    MLAKE_ASSIGN_OR_RETURN(
+        std::vector<HybridCandidate> dots,
+        DotCandidates(lake, std::move(candidates), query_id, query_vec));
+    for (HybridCandidate& c : dots) {
+      if (c.has_dot) out.push_back(RankedModel{std::move(c.id), c.dot});
     }
   } else if (query.rank.function == "hybrid") {
     // Reciprocal-rank fusion of BM25 keyword rank and embedding
@@ -292,41 +329,17 @@ Result<std::vector<RankedModel>> RankCandidates(
 
     MLAKE_ASSIGN_OR_RETURN(auto keyword_hits,
                            lake.KeywordScores(text, kAllResults));
-    std::unordered_map<std::string, size_t> keyword_rank;
-    for (size_t i = 0; i < keyword_hits.size(); ++i) {
-      keyword_rank[keyword_hits[i].first] = i;
+    std::vector<std::string> keyword_order;
+    keyword_order.reserve(keyword_hits.size());
+    for (auto& hit : keyword_hits) {
+      keyword_order.push_back(std::move(hit.first));
     }
-
     MLAKE_ASSIGN_OR_RETURN(std::vector<float> query_vec,
                            lake.EmbeddingFor(query_id));
-    std::vector<std::pair<double, std::string>> by_similarity;
-    for (const std::string& id : candidates) {
-      if (id == query_id) continue;
-      MLAKE_ASSIGN_OR_RETURN(std::vector<float> vec, lake.EmbeddingFor(id));
-      if (vec.size() != query_vec.size()) continue;
-      double dot = 0.0;
-      for (size_t i = 0; i < vec.size(); ++i) {
-        dot += static_cast<double>(vec[i]) * query_vec[i];
-      }
-      by_similarity.emplace_back(-dot, id);  // ascending = best first
-    }
-    std::sort(by_similarity.begin(), by_similarity.end());
-    std::unordered_map<std::string, size_t> embedding_rank;
-    for (size_t i = 0; i < by_similarity.size(); ++i) {
-      embedding_rank[by_similarity[i].second] = i;
-    }
-
-    for (const std::string& id : candidates) {
-      if (id == query_id) continue;
-      double score = 0.0;
-      if (auto it = keyword_rank.find(id); it != keyword_rank.end()) {
-        score += 1.0 / (kRrfOffset + static_cast<double>(it->second));
-      }
-      if (auto it = embedding_rank.find(id); it != embedding_rank.end()) {
-        score += 1.0 / (kRrfOffset + static_cast<double>(it->second));
-      }
-      out.push_back(RankedModel{id, score});
-    }
+    MLAKE_ASSIGN_OR_RETURN(
+        std::vector<HybridCandidate> parts,
+        DotCandidates(lake, std::move(candidates), query_id, query_vec));
+    out = FuseRrf(std::move(keyword_order), std::move(parts));
   } else if (query.rank.function == "metric") {
     if (query.rank.args.empty() ||
         query.rank.args[0].kind != Literal::Kind::kString) {
@@ -354,10 +367,7 @@ Result<std::vector<RankedModel>> RankCandidates(
                                    query.rank.function);
   }
 
-  std::sort(out.begin(), out.end(),
-            [](const RankedModel& a, const RankedModel& b) {
-              return a.score > b.score || (a.score == b.score && a.id < b.id);
-            });
+  std::sort(out.begin(), out.end(), ScoreDescIdAsc);
   if (out.size() > query.limit) out.resize(query.limit);
   return out;
 }
@@ -418,6 +428,48 @@ Result<bool> EvaluatePredicate(const SearchContext& lake, const Expr& expr,
   return evaluator.Evaluate(expr, card);
 }
 
+std::vector<RankedModel> FuseRrf(std::vector<std::string> keyword_order,
+                                 std::vector<HybridCandidate> candidates) {
+  std::unordered_map<std::string_view, size_t> keyword_rank;
+  keyword_rank.reserve(keyword_order.size());
+  for (size_t i = 0; i < keyword_order.size(); ++i) {
+    keyword_rank[keyword_order[i]] = i;
+  }
+  // Similarity ranks in (-dot, id) ascending order — best first.
+  std::vector<size_t> by_similarity;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].has_dot) by_similarity.push_back(i);
+  }
+  std::sort(by_similarity.begin(), by_similarity.end(),
+            [&candidates](size_t a, size_t b) {
+              const double ka = -candidates[a].dot;
+              const double kb = -candidates[b].dot;
+              return ka < kb ||
+                     (!(kb < ka) && candidates[a].id < candidates[b].id);
+            });
+  constexpr size_t kNoRank = static_cast<size_t>(-1);
+  std::vector<size_t> similarity_rank(candidates.size(), kNoRank);
+  for (size_t r = 0; r < by_similarity.size(); ++r) {
+    similarity_rank[by_similarity[r]] = r;
+  }
+
+  std::vector<RankedModel> out;
+  out.reserve(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    double score = 0.0;
+    if (auto it = keyword_rank.find(candidates[i].id);
+        it != keyword_rank.end()) {
+      score += 1.0 / (kRrfOffset + static_cast<double>(it->second));
+    }
+    if (similarity_rank[i] != kNoRank) {
+      score += 1.0 / (kRrfOffset + static_cast<double>(similarity_rank[i]));
+    }
+    out.push_back(RankedModel{std::move(candidates[i].id), score});
+  }
+  std::sort(out.begin(), out.end(), ScoreDescIdAsc);
+  return out;
+}
+
 Result<std::vector<HybridCandidate>> CollectHybridParts(
     const SearchContext& lake, const Query& query,
     const std::vector<float>& query_vec) {
@@ -428,40 +480,14 @@ Result<std::vector<HybridCandidate>> CollectHybridParts(
     return Status::InvalidArgument(
         "hybrid parts require a hybrid(keyword text, model id) ranking");
   }
-  const std::string& query_id = query.rank.args[1].string_value;
-
   std::vector<std::string> candidates = lake.AllModelIds();
   if (query.where != nullptr) {
-    PredicateEvaluator evaluator(lake);
-    MLAKE_RETURN_NOT_OK(evaluator.Prepare(*query.where));
-    std::vector<std::string> kept;
-    for (const std::string& id : candidates) {
-      MLAKE_ASSIGN_OR_RETURN(metadata::ModelCard card, lake.CardFor(id));
-      MLAKE_ASSIGN_OR_RETURN(bool keep,
-                             evaluator.Evaluate(*query.where, card));
-      if (keep) kept.push_back(id);
-    }
-    candidates = std::move(kept);
+    MLAKE_ASSIGN_OR_RETURN(
+        candidates,
+        FilterCandidates(lake, *query.where, std::move(candidates)));
   }
-
-  std::vector<HybridCandidate> out;
-  out.reserve(candidates.size());
-  for (const std::string& id : candidates) {
-    if (id == query_id) continue;  // a model is not its own answer
-    MLAKE_ASSIGN_OR_RETURN(std::vector<float> vec, lake.EmbeddingFor(id));
-    HybridCandidate c;
-    c.id = id;
-    if (vec.size() == query_vec.size()) {
-      double dot = 0.0;
-      for (size_t i = 0; i < vec.size(); ++i) {
-        dot += static_cast<double>(vec[i]) * query_vec[i];
-      }
-      c.has_dot = true;
-      c.dot = dot;
-    }
-    out.push_back(std::move(c));
-  }
-  return out;
+  return DotCandidates(lake, std::move(candidates),
+                       query.rank.args[1].string_value, query_vec);
 }
 
 double EstimateSelectivity(const Expr& expr,
@@ -578,21 +604,15 @@ Result<QueryResult> ExecuteQuery(const SearchContext& lake,
       plan_prefix + StrFormat("scan %zu cards", candidates.size());
 
   if (query.where != nullptr) {
-    PredicateEvaluator evaluator(lake);
-    MLAKE_RETURN_NOT_OK(evaluator.Prepare(*query.where));
-    std::vector<std::string> kept;
-    for (const std::string& id : candidates) {
-      MLAKE_ASSIGN_OR_RETURN(metadata::ModelCard card, lake.CardFor(id));
-      MLAKE_ASSIGN_OR_RETURN(bool keep,
-                             evaluator.Evaluate(*query.where, card));
-      if (keep) kept.push_back(id);
-    }
-    result.plan += StrFormat("; filter -> %zu", kept.size());
-    candidates = std::move(kept);
+    MLAKE_ASSIGN_OR_RETURN(
+        candidates,
+        FilterCandidates(lake, *query.where, std::move(candidates)));
+    result.plan += StrFormat("; filter -> %zu", candidates.size());
   }
 
-  MLAKE_ASSIGN_OR_RETURN(
-      result.models, RankCandidates(lake, query, candidates, &result.plan));
+  MLAKE_ASSIGN_OR_RETURN(result.models,
+                         RankCandidates(lake, query, std::move(candidates),
+                                        &result.plan));
   return result;
 }
 

@@ -16,6 +16,13 @@ struct RankedModel {
   double score = 0.0;
 };
 
+/// The one result order: score descending, ties by id ascending. The
+/// cluster router sorts merged shard answers with it, so a sharded
+/// ranking reproduces the single-lake order bit for bit.
+inline bool ScoreDescIdAsc(const RankedModel& a, const RankedModel& b) {
+  return a.score > b.score || (a.score == b.score && a.id < b.id);
+}
+
 /// Reciprocal-rank-fusion offset of the hybrid ranking. Shared with
 /// the cluster router, which reproduces the fusion from per-shard
 /// parts — both sides must add 1/(offset + rank) with the same offset
@@ -32,6 +39,16 @@ struct HybridCandidate {
   bool has_dot = false;
   double dot = 0.0;
 };
+
+/// Reciprocal-rank fusion of the hybrid ranking, shared by the local
+/// executor and the cluster router: each candidate scores
+/// 1/(kRrfOffset + keyword rank) when `keyword_order` (best first)
+/// holds it, plus 1/(kRrfOffset + similarity rank) when it has a dot
+/// product (ranked dot descending, id ascending). Keyword term first:
+/// the addition order keeps the doubles bit-identical. Returns every
+/// candidate, sorted ScoreDescIdAsc.
+std::vector<RankedModel> FuseRrf(std::vector<std::string> keyword_order,
+                                 std::vector<HybridCandidate> candidates);
 
 /// The result of executing an MLQL query, including the plan the
 /// executor chose (the lake's EXPLAIN).

@@ -4,6 +4,8 @@
 #include <deque>
 #include <functional>
 
+#include "common/string_util.h"
+
 namespace mlake::versioning {
 
 std::string_view EdgeTypeToString(EdgeType type) {
@@ -38,6 +40,34 @@ Result<EdgeType> EdgeTypeFromString(std::string_view s) {
     if (EdgeTypeToString(t) == s) return t;
   }
   return Status::InvalidArgument("unknown edge type: " + std::string(s));
+}
+
+Json EdgeToJson(const VersionEdge& edge, Json out) {
+  out.Set("parent", edge.parent);
+  out.Set("child", edge.child);
+  out.Set("type", std::string(EdgeTypeToString(edge.type)));
+  out.Set("confidence", edge.confidence);
+  if (!edge.params.is_null()) out.Set("params", edge.params);
+  return out;
+}
+
+Result<VersionEdge> EdgeFromJson(const Json& j) {
+  if (!j.is_object()) return Status::Corruption("edge: not an object");
+  VersionEdge edge;
+  edge.parent = j.GetString("parent");
+  edge.child = j.GetString("child");
+  MLAKE_ASSIGN_OR_RETURN(edge.type, EdgeTypeFromString(j.GetString("type")));
+  if (const Json* params = j.Find("params")) edge.params = *params;
+  edge.confidence = j.GetDouble("confidence", 1.0);
+  return edge;
+}
+
+std::string EdgeKey(const VersionEdge& edge) {
+  return StrFormat("%s|%s|%s|%.17g|%s", edge.parent.c_str(),
+                   edge.child.c_str(),
+                   std::string(EdgeTypeToString(edge.type)).c_str(),
+                   edge.confidence,
+                   edge.params.is_null() ? "" : edge.params.Dump().c_str());
 }
 
 void ModelGraph::AddModel(const std::string& id) {
@@ -240,14 +270,7 @@ Result<ModelGraph> ModelGraph::FromJson(const Json& j) {
   if (const Json* edges = j.Find("edges");
       edges != nullptr && edges->is_array()) {
     for (const Json& e : edges->AsArray()) {
-      if (!e.is_object()) return Status::Corruption("ModelGraph: bad edge");
-      VersionEdge edge;
-      edge.parent = e.GetString("parent");
-      edge.child = e.GetString("child");
-      MLAKE_ASSIGN_OR_RETURN(edge.type,
-                             EdgeTypeFromString(e.GetString("type")));
-      if (const Json* p = e.Find("params"); p != nullptr) edge.params = *p;
-      edge.confidence = e.GetDouble("confidence", 1.0);
+      MLAKE_ASSIGN_OR_RETURN(VersionEdge edge, EdgeFromJson(e));
       MLAKE_RETURN_NOT_OK(graph.AddEdge(std::move(edge)));
     }
   }

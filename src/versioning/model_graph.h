@@ -38,6 +38,22 @@ struct VersionEdge {
   double confidence = 1.0;
 };
 
+/// The one JSON form of an edge — op-log payload, replication seed and
+/// export record: parent, child, type, confidence, then params when
+/// set. Appended to `out`, so a record can lead with its own fields.
+Json EdgeToJson(const VersionEdge& edge, Json out = Json::MakeObject());
+
+/// Decodes EdgeToJson's form (and the persisted graph's, which always
+/// carries params): absent confidence reads as 1.0, absent params as
+/// null.
+Result<VersionEdge> EdgeFromJson(const Json& j);
+
+/// Content-derived edge key "parent|child|type|confidence|params" —
+/// the order the replication fingerprint and the governance export
+/// sort edges by, so leader and replica agree without consulting
+/// insertion order.
+std::string EdgeKey(const VersionEdge& edge);
+
 /// Directed acyclic graph of model derivations with a monotonically
 /// increasing revision counter. Every mutation bumps the revision, which
 /// is what model citations pin (§6 "Data and Model Citation": "upon any

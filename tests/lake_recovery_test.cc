@@ -122,6 +122,115 @@ TEST_F(LakeRecoveryTest, AbortedIngestRollsBackInPlace) {
 // If the process dies mid-ingest (here: the fs goes dead, so even the
 // in-place rollback fails), the durable intent stays pending and the
 // next Open() finishes the rollback.
+// Abort, not Commit: on a replication-log lake, an IngestModels batch
+// and an IngestCards batch that fail mid-apply roll back without ever
+// entering the op log a leader ships, and the next successful write is
+// the log's only entry.
+TEST_F(LakeRecoveryTest, AbortedWritesNeverEnterTheOpLog) {
+  auto replicated = [this](const std::string& root, Fs* fs) {
+    LakeOptions options = Options(root, fs);
+    options.replication_log = true;
+    return options;
+  };
+  auto m1 = MakeModel(11);
+  auto m2 = MakeModel(12);
+  std::vector<IngestRequest> models(2);
+  models[0].model = m1.get();
+  models[0].card = Card("model-a");
+  models[1].model = m2.get();
+  models[1].card = Card("model-b");
+  std::vector<CardIngest> cards(2);
+  for (size_t i = 0; i < cards.size(); ++i) {
+    cards[i].card = Card("card-" + std::to_string(i));
+  }
+
+  // Opens a fresh lake under `plan`, runs the model batch then the card
+  // batch, and reports the op count after the open and after each
+  // batch. Serial exec makes the sequence reproducible.
+  struct Run {
+    std::string dir;
+    std::unique_ptr<FaultInjectingFs> fs;
+    std::unique_ptr<ModelLake> lake;
+    uint64_t marks[3] = {0, 0, 0};
+    Status models_status, cards_status;
+  };
+  auto run = [&](FaultPlan plan) {
+    Run r;
+    r.dir = MakeTempDir("mlake-recovery-oplog").MoveValueUnsafe();
+    r.fs = std::make_unique<FaultInjectingFs>(RealFs(), plan);
+    r.lake = ModelLake::Open(replicated(r.dir, r.fs.get())).MoveValueUnsafe();
+    r.marks[0] = r.fs->mutating_ops();
+    r.models_status = r.lake->IngestModels(models).status();
+    r.marks[1] = r.fs->mutating_ops();
+    for (CardIngest& c : cards) {
+      c.embedding.assign(r.lake->EmbeddingDim(), 0.25f);
+    }
+    r.cards_status = r.lake->IngestCards(cards).status();
+    r.marks[2] = r.fs->mutating_ops();
+    return r;
+  };
+  auto cleanup = [](Run* r) {
+    r->lake.reset();
+    ASSERT_TRUE(RemoveAll(r->dir).ok());
+  };
+
+  // Probe 1: no faults. The model batch's middle op lands after its
+  // intent begin, among the blob and catalog writes.
+  Run clean = run(FaultPlan{});
+  ASSERT_TRUE(clean.models_status.ok());
+  ASSERT_TRUE(clean.cards_status.ok());
+  FaultPlan first;
+  first.fail_ops = {clean.marks[0] + (clean.marks[1] - clean.marks[0]) / 2};
+  cleanup(&clean);
+
+  // Probe 2: only the model batch fails; its rollback shifts the op
+  // indices of the card batch that follows.
+  Run half = run(first);
+  ASSERT_FALSE(half.models_status.ok());
+  ASSERT_TRUE(half.cards_status.ok());
+  FaultPlan both = first;
+  both.fail_ops.push_back(half.marks[1] +
+                          (half.marks[2] - half.marks[1]) / 2);
+  cleanup(&half);
+
+  Run trial = run(both);
+  EXPECT_FALSE(trial.models_status.ok());
+  EXPECT_FALSE(trial.cards_status.ok());
+  EXPECT_EQ(trial.fs->injected_errors(), 2u);
+  EXPECT_EQ(trial.lake->NumModels(), 0u);
+  Json log = trial.lake->ReplicationLogJson(1, 100).ValueOrDie();
+  EXPECT_TRUE(log.Find("entries")->AsArray().empty()) << log.Dump();
+  EXPECT_EQ(trial.lake->ReplicationLastSeq(), 0u);
+
+  // The faults were one-shot: the retried card batch commits and ships
+  // as the only entry.
+  ASSERT_TRUE(trial.lake->IngestCards(cards).ok());
+  log = trial.lake->ReplicationLogJson(1, 100).ValueOrDie();
+  const Json::Array& entries = log.Find("entries")->AsArray();
+  ASSERT_EQ(entries.size(), 1u) << log.Dump();
+  storage::Intent entry = storage::Intent::FromJson(entries[0]).ValueOrDie();
+  EXPECT_EQ(entry.op, "ingest");
+  EXPECT_EQ(entry.ids, (std::vector<std::string>{"card-0", "card-1"}));
+  EXPECT_TRUE(entry.digests.empty());
+  cleanup(&trial);
+}
+
+// An empty batch is a no-op: nothing is journaled, so a leader never
+// ships an entry a replica cannot replay.
+TEST_F(LakeRecoveryTest, EmptyIngestBatchWritesNothing) {
+  FaultInjectingFs fs(RealFs(), FaultPlan{});
+  LakeOptions options = Options(dir_, &fs);
+  options.replication_log = true;
+  auto lake = ModelLake::Open(options).MoveValueUnsafe();
+  const uint64_t opened = fs.mutating_ops();
+  auto ingested = lake->IngestModels({});
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_TRUE(ingested.ValueUnsafe().empty());
+  ASSERT_TRUE(lake->IngestCards({}).ok());
+  EXPECT_EQ(fs.mutating_ops(), opened);
+  EXPECT_EQ(lake->ReplicationLastSeq(), 0u);
+}
+
 TEST_F(LakeRecoveryTest, PendingIntentRolledBackOnReopen) {
   uint64_t open_ops = 0, total_ops = 0;
   ProbeOpCounts(9, &open_ops, &total_ops);

@@ -427,6 +427,42 @@ TEST_F(ReplicationTest, IncrementalCatchUpFollowsNewWrites) {
   EXPECT_TRUE(replica_lake_->ArtifactDigest("late-1").ok());
 }
 
+TEST_F(ReplicationTest, CardEditReplaysWithoutReseed) {
+  OpenReplica();
+  ASSERT_TRUE(replicator_->SyncOnce().ok());
+
+  // A card edit (what `mlake doc --apply` writes) is journaled as an
+  // update_card op, so the replica replays it from the log instead of
+  // learning of it through a fingerprint mismatch and a full re-seed.
+  metadata::ModelCard edited = leader_lake_->CardFor("ft-sum").ValueOrDie();
+  edited.description = "fine-tuned summarizer, audited";
+  edited.tags = {"audited"};
+  ASSERT_TRUE(leader_lake_->UpdateCard(edited).ok());
+
+  auto applied = replicator_->SyncOnce();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied.ValueUnsafe(), 1u);
+  EXPECT_EQ(replicator_->reseeds(), 0u);
+  auto card = replica_lake_->CardFor("ft-sum");
+  ASSERT_TRUE(card.ok()) << card.status().ToString();
+  EXPECT_EQ(card.ValueUnsafe().description, "fine-tuned summarizer, audited");
+  EXPECT_EQ(card.ValueUnsafe().tags, std::vector<std::string>{"audited"});
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+  // The replica's keyword index follows the edit too.
+  auto hits = replica_lake_->KeywordScores("audited", 5);
+  ASSERT_TRUE(hits.ok());
+  ASSERT_FALSE(hits.ValueUnsafe().empty());
+  EXPECT_EQ(hits.ValueUnsafe().front().first, "ft-sum");
+
+  // Redelivery of the edit is recognised as applied.
+  Json log = leader_lake_->ReplicationLogJson(1, 100).ValueOrDie();
+  const Json& last = log.Find("entries")->AsArray().back();
+  storage::Intent entry = storage::Intent::FromJson(last).ValueOrDie();
+  EXPECT_EQ(entry.op, "update_card");
+  EXPECT_TRUE(replica_lake_->HasApplied(entry).ValueOrDie());
+}
+
 TEST_F(ReplicationTest, RedeliveryAfterLostWatermarkIsIdempotent) {
   OpenReplica();
   ASSERT_TRUE(replicator_->SyncOnce().ok());
