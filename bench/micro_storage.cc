@@ -6,7 +6,8 @@
 //   legacy  copying reads, SHA-256 on every read, caches off
 //           (the pre-zero-copy storage layer, for regression tracking)
 //   cold    mmap views + verify-on-first-read, caches off
-//   warm    cold plus the decoded-artifact / embedding caches
+//   warm    cold plus the decoded-artifact cache (embeddings are read
+//           from the lake's column store in every configuration)
 // Emits BENCH_storage.json in the shared JsonBench schema; the derived
 // block carries the two numbers the roadmap tracks:
 // speedup_cold_vs_legacy and speedup_warm_vs_cold.
@@ -242,11 +243,9 @@ void BenchLakeLoads(JsonBench* bench, const std::string& dir, bool quick) {
   legacy.blob_mmap = false;
   legacy.blob_verify = storage::VerifyMode::kAlways;
   legacy.artifact_cache_bytes = 0;
-  legacy.embedding_cache_bytes = 0;
 
   core::LakeOptions cold;  // zero-copy reads, no caches
   cold.artifact_cache_bytes = 0;
-  cold.embedding_cache_bytes = 0;
 
   core::LakeOptions warm;  // defaults: zero-copy reads + caches
 

@@ -84,27 +84,6 @@ std::string SnapName(const char* prefix, uint64_t generation) {
 
 const char kIndexManifestName[] = "MANIFEST.json";
 
-/// Offset arrays in the ids snapshot must be non-decreasing from 0 to
-/// `limit`.
-bool OffsetsWellFormed(const uint64_t* off, size_t count, uint64_t limit) {
-  if (count == 0 || off[0] != 0 || off[count - 1] != limit) return false;
-  for (size_t i = 1; i < count; ++i) {
-    if (off[i] < off[i - 1]) return false;
-  }
-  return true;
-}
-
-/// Flattens `items` into a CSR string table (offsets + bytes).
-void BuildStringTable(const std::vector<std::string>& items,
-                      std::vector<uint64_t>* offsets, std::string* bytes) {
-  offsets->assign(items.size() + 1, 0);
-  bytes->clear();
-  for (size_t i = 0; i < items.size(); ++i) {
-    *bytes += items[i];
-    (*offsets)[i + 1] = bytes->size();
-  }
-}
-
 }  // namespace
 
 Result<std::unique_ptr<ModelLake>> ModelLake::Open(LakeOptions options) {
@@ -140,21 +119,12 @@ Status ModelLake::Initialize() {
   artifact_cache_ = std::make_unique<
       storage::ShardedLruCache<std::string, storage::ModelArtifact>>(
       options_.artifact_cache_bytes, options_.cache_shards);
-  embedding_cache_ = std::make_unique<
-      storage::ShardedLruCache<std::string, std::vector<float>>>(
-      options_.embedding_cache_bytes, options_.cache_shards);
 
   probes_ = nn::MakeProbeSet(options_.input_dim, options_.probe_count,
                              options_.probe_seed);
   MLAKE_ASSIGN_OR_RETURN(
       embedder_,
       embed::MakeEmbedder(options_.embedder, probes_, options_.num_classes));
-  embedder_key_ = Sha256::HexDigest(StrFormat(
-      "%s|%lld|%zu|%llu|%lld|%lld", options_.embedder.c_str(),
-      static_cast<long long>(embedder_->Dim()), options_.probe_count,
-      static_cast<unsigned long long>(options_.probe_seed),
-      static_cast<long long>(options_.input_dim),
-      static_cast<long long>(options_.num_classes)));
 
   ann_ = std::make_unique<index::HnswIndex>(embedder_->Dim(), options_.hnsw);
   dataset_lsh_ = std::make_unique<index::MinHashLsh>(options_.minhash_bands,
@@ -305,56 +275,60 @@ Status ModelLake::BuildIndexSetFromCatalog(IndexSet* out) const {
   out->lsh = std::make_unique<index::MinHashLsh>(options_.minhash_bands,
                                                  options_.minhash_rows);
 
-  // Model docs -> digest map (the load path's id -> digest hop without
-  // a catalog JSON parse per load).
+  // Embeddings, model docs and cards -> one bulk ANN build, the column
+  // rows (with each model's artifact digest, the load path's id ->
+  // digest hop) and BM25, all in embedding-id order (row i = HNSW
+  // element i). Catalog reads are const and safe concurrently; the JSON
+  // parse is the cost, so parse in parallel and feed the (single
+  // threaded) column store and inverted index in catalog order. Cards
+  // are decoded a chunk at a time so at most one chunk of decoded cards
+  // is ever resident.
   {
-    std::vector<std::string> ids = catalog_->ListIds("model");
-    std::vector<std::string> digests(ids.size());
-    MLAKE_RETURN_NOT_OK(
-        ParallelFor(exec, 0, ids.size(), [&](size_t i) -> Status {
-          MLAKE_ASSIGN_OR_RETURN(Json model_doc,
-                                 catalog_->GetDoc("model", ids[i]));
-          digests[i] = model_doc.GetString("artifact_digest");
-          return Status::OK();
-        }));
-    for (size_t i = 0; i < ids.size(); ++i) {
-      out->digest_by_id[ids[i]] = digests[i];
-    }
-  }
-
-  // Cards -> BM25. Catalog reads are const and safe concurrently; the
-  // JSON parse is the cost, so parse in parallel and feed the (single
-  // threaded) inverted index in catalog order.
-  {
-    std::vector<std::string> ids = catalog_->ListIds("card");
-    std::vector<std::string> texts(ids.size());
-    MLAKE_RETURN_NOT_OK(
-        ParallelFor(exec, 0, ids.size(), [&](size_t i) -> Status {
-          MLAKE_ASSIGN_OR_RETURN(Json card_doc,
-                                 catalog_->GetDoc("card", ids[i]));
-          MLAKE_ASSIGN_OR_RETURN(metadata::ModelCard card,
-                                 metadata::ModelCard::FromJson(card_doc));
-          texts[i] = card.SearchText();
-          return Status::OK();
-        }));
-    for (size_t i = 0; i < ids.size(); ++i) out->bm25.Add(ids[i], texts[i]);
-  }
-
-  // Embeddings -> one bulk ANN build (parallel neighbor search inside).
-  {
+    constexpr size_t kCardChunk = 1024;
     std::vector<std::string> ids = catalog_->ListIds("embedding");
     std::vector<std::vector<float>> vecs(ids.size());
+    std::vector<std::string> digests(ids.size());
     MLAKE_RETURN_NOT_OK(
         ParallelFor(exec, 0, ids.size(), [&](size_t i) -> Status {
           MLAKE_ASSIGN_OR_RETURN(Json doc,
                                  catalog_->GetDoc("embedding", ids[i]));
           MLAKE_ASSIGN_OR_RETURN(vecs[i], FloatsFromJson(doc));
+          if (Result<Json> model_doc = catalog_->GetDoc("model", ids[i]);
+              model_doc.ok()) {
+            digests[i] = model_doc.ValueUnsafe().GetString("artifact_digest");
+          }
           return Status::OK();
         }));
+    out->columns = search::ModelColumns(embedder_->Dim());
+    std::vector<metadata::ModelCard> cards;
+    std::vector<std::string> texts;
+    for (size_t at = 0; at < ids.size(); at += kCardChunk) {
+      const size_t end = std::min(ids.size(), at + kCardChunk);
+      cards.assign(end - at, metadata::ModelCard());
+      texts.assign(end - at, std::string());
+      MLAKE_RETURN_NOT_OK(
+          ParallelFor(exec, at, end, [&](size_t i) -> Status {
+            metadata::ModelCard& card = cards[i - at];
+            Result<Json> doc = catalog_->GetDoc("card", ids[i]);
+            if (!doc.ok()) {
+              // No card doc: a bare row, kept out of BM25.
+              card.model_id = ids[i];
+              return Status::OK();
+            }
+            MLAKE_ASSIGN_OR_RETURN(
+                card, metadata::ModelCard::FromJson(doc.ValueUnsafe()));
+            texts[i - at] = card.SearchText();
+            return Status::OK();
+          }));
+      for (size_t i = at; i < end; ++i) {
+        if (!texts[i - at].empty()) out->bm25.Add(ids[i], texts[i - at]);
+        MLAKE_RETURN_NOT_OK(
+            out->columns.Append(cards[i - at], vecs[i], digests[i]));
+      }
+    }
     std::vector<int64_t> internal_ids(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-      internal_ids[i] = static_cast<int64_t>(out->ann_ids.size());
-      out->ann_ids.push_back(ids[i]);
+      internal_ids[i] = static_cast<int64_t>(i);
     }
     MLAKE_RETURN_NOT_OK(out->ann->Build(internal_ids, vecs, exec));
   }
@@ -381,10 +355,15 @@ Status ModelLake::BuildIndexSetFromCatalog(IndexSet* out) const {
 
 void ModelLake::InstallIndexSet(IndexSet set) {
   ann_ = std::move(set.ann);
-  ann_ids_ = std::move(set.ann_ids);
+  columns_ = std::move(set.columns);
   bm25_ = std::move(set.bm25);
   dataset_lsh_ = std::move(set.lsh);
-  digest_by_id_ = std::move(set.digest_by_id);
+  // Quarantine is lake state, not index state: a set built from the
+  // catalog or loaded from a sidecar has every row live.
+  for (const std::string& id : degraded_) {
+    const uint32_t row = columns_.Find(id);
+    if (row != search::ModelColumns::kNoRow) columns_.MarkDegraded(row);
+  }
 }
 
 Status ModelLake::RebuildIndices() {
@@ -416,19 +395,21 @@ Status ModelLake::WriteIdsSnapshot(const IndexSet& set,
                                    uint64_t generation) const {
   // Sidecar for the three index snapshots: the internal-id -> model-id
   // table (HNSW rows), the parallel digest table, and the dataset names
-  // behind the LSH entries. All CSR string tables.
-  std::vector<std::string> digests(set.ann_ids.size());
-  for (size_t i = 0; i < set.ann_ids.size(); ++i) {
-    auto it = set.digest_by_id.find(set.ann_ids[i]);
-    if (it != set.digest_by_id.end()) digests[i] = it->second;
+  // behind the LSH entries, all CSR string tables; then the column
+  // store's sections, so a reopen decodes no card or embedding JSON.
+  const size_t rows = set.columns.rows();
+  std::vector<std::string> ids(rows), digests(rows);
+  for (uint32_t row = 0; row < rows; ++row) {
+    ids[row] = set.columns.Id(row);
+    digests[row] = set.columns.Digest(row);
   }
   std::vector<uint64_t> id_off, dig_off, ds_off;
   std::string id_bytes, dig_bytes, ds_bytes;
-  BuildStringTable(set.ann_ids, &id_off, &id_bytes);
-  BuildStringTable(digests, &dig_off, &dig_bytes);
-  BuildStringTable(set.dataset_names, &ds_off, &ds_bytes);
+  index::BuildStringTable(ids, &id_off, &id_bytes);
+  index::BuildStringTable(digests, &dig_off, &dig_bytes);
+  index::BuildStringTable(set.dataset_names, &ds_off, &ds_bytes);
 
-  std::vector<uint64_t> meta = {set.ann_ids.size(), set.dataset_names.size()};
+  std::vector<uint64_t> meta = {rows, set.dataset_names.size()};
   index::SnapshotWriter writer(index::SnapshotKind::kLakeIds, generation);
   writer.AddArray("meta", meta);
   writer.AddArray("id_off", id_off);
@@ -437,6 +418,7 @@ Status ModelLake::WriteIdsSnapshot(const IndexSet& set,
   writer.AddSection("dig_bytes", dig_bytes.data(), dig_bytes.size());
   writer.AddArray("ds_off", ds_off);
   writer.AddSection("ds_bytes", ds_bytes.data(), ds_bytes.size());
+  set.columns.AddSections(&writer);
   return writer.WriteTo(fs_, path);
 }
 
@@ -444,7 +426,8 @@ Status ModelLake::LoadIndexSetFromFiles(const std::string& ann_path,
                                         const std::string& bm25_path,
                                         const std::string& lsh_path,
                                         const std::string& ids_path,
-                                        IndexSet* out) const {
+                                        IndexSet* out,
+                                        search::ModelColumns* built) const {
   out->ann =
       std::make_unique<index::HnswIndex>(embedder_->Dim(), options_.hnsw);
   out->lsh = std::make_unique<index::MinHashLsh>(options_.minhash_bands,
@@ -470,21 +453,24 @@ Status ModelLake::LoadIndexSetFromFiles(const std::string& ann_path,
   MLAKE_ASSIGN_OR_RETURN(auto ds_bytes, snap.Section("ds_bytes"));
   if (id_off.second != n_models + 1 || dig_off.second != n_models + 1 ||
       ds_off.second != n_datasets + 1 ||
-      !OffsetsWellFormed(id_off.first, id_off.second, id_bytes.size()) ||
-      !OffsetsWellFormed(dig_off.first, dig_off.second, dig_bytes.size()) ||
-      !OffsetsWellFormed(ds_off.first, ds_off.second, ds_bytes.size())) {
+      !index::OffsetsWellFormed(id_off.first, id_off.second,
+                                id_bytes.size()) ||
+      !index::OffsetsWellFormed(dig_off.first, dig_off.second,
+                                dig_bytes.size()) ||
+      !index::OffsetsWellFormed(ds_off.first, ds_off.second,
+                                ds_bytes.size())) {
     return Status::Corruption("ids snapshot tables malformed: " + ids_path);
   }
-  out->ann_ids.reserve(n_models);
+  std::vector<std::string_view> ids, digests;
+  ids.reserve(n_models);
+  digests.reserve(n_models);
   for (size_t i = 0; i < n_models; ++i) {
-    out->ann_ids.emplace_back(
-        id_bytes.substr(static_cast<size_t>(id_off.first[i]),
-                        static_cast<size_t>(id_off.first[i + 1] -
-                                            id_off.first[i])));
-    out->digest_by_id[out->ann_ids.back()] = std::string(
-        dig_bytes.substr(static_cast<size_t>(dig_off.first[i]),
-                         static_cast<size_t>(dig_off.first[i + 1] -
-                                             dig_off.first[i])));
+    ids.push_back(id_bytes.substr(
+        static_cast<size_t>(id_off.first[i]),
+        static_cast<size_t>(id_off.first[i + 1] - id_off.first[i])));
+    digests.push_back(dig_bytes.substr(
+        static_cast<size_t>(dig_off.first[i]),
+        static_cast<size_t>(dig_off.first[i + 1] - dig_off.first[i])));
   }
   out->dataset_names.reserve(n_datasets);
   for (size_t i = 0; i < n_datasets; ++i) {
@@ -493,11 +479,19 @@ Status ModelLake::LoadIndexSetFromFiles(const std::string& ann_path,
                         static_cast<size_t>(ds_off.first[i + 1] -
                                             ds_off.first[i])));
   }
+  if (built == nullptr) {
+    MLAKE_ASSIGN_OR_RETURN(
+        out->columns, search::ModelColumns::FromSections(
+                          snap, ids, digests,
+                          static_cast<size_t>(embedder_->Dim())));
+  }
   // The four files must come from one compaction pass; a torn mix of
   // generations would desynchronize internal ids from model ids.
-  if (out->ann->BaseSize() != n_models || out->bm25.BaseSize() != n_models) {
+  if (out->ann->BaseSize() != n_models || out->bm25.BaseSize() != n_models ||
+      (built != nullptr && built->rows() != n_models)) {
     return Status::Corruption("index snapshot generations mismatched");
   }
+  if (built != nullptr) out->columns = std::move(*built);
   return Status::OK();
 }
 
@@ -529,26 +523,23 @@ Status ModelLake::LoadIndexSnapshots() {
   // membership diff fully reconciles the two.
   {
     std::vector<std::string> cat_ids = catalog_->ListIds("model");
-    std::set<std::string> cat(cat_ids.begin(), cat_ids.end());
-    std::unordered_map<std::string, size_t> snap_pos;
-    snap_pos.reserve(set.ann_ids.size());
-    for (size_t i = 0; i < set.ann_ids.size(); ++i) {
-      snap_pos[set.ann_ids[i]] = i;
-    }
-    for (const auto& [id, pos] : snap_pos) {
-      if (cat.count(id) > 0) continue;
-      Status removed = set.ann->Remove(static_cast<int64_t>(pos));
+    std::set<std::string, std::less<>> cat(cat_ids.begin(), cat_ids.end());
+    for (uint32_t row = 0; row < set.columns.rows(); ++row) {
+      if (cat.count(set.columns.Id(row)) > 0) continue;
+      Status removed = set.ann->Remove(static_cast<int64_t>(row));
       if (!removed.ok() && !removed.IsNotFound()) return removed;
-      set.bm25.Remove(id);
-      set.digest_by_id.erase(id);
+      set.bm25.Remove(std::string(set.columns.Id(row)));
+      set.columns.MarkRemoved(row);
     }
     std::vector<std::string> added;
     for (const std::string& id : cat_ids) {
-      if (snap_pos.count(id) == 0) added.push_back(id);
+      if (set.columns.Find(id) == search::ModelColumns::kNoRow) {
+        added.push_back(id);
+      }
     }
     if (!added.empty()) {
       std::vector<std::string> digests(added.size());
-      std::vector<std::string> texts(added.size());
+      std::vector<metadata::ModelCard> cards(added.size());
       std::vector<std::vector<float>> vecs(added.size());
       MLAKE_RETURN_NOT_OK(ParallelFor(
           options_.exec, 0, added.size(), [&](size_t i) -> Status {
@@ -557,9 +548,8 @@ Status ModelLake::LoadIndexSnapshots() {
             digests[i] = model_doc.GetString("artifact_digest");
             MLAKE_ASSIGN_OR_RETURN(Json card_doc,
                                    catalog_->GetDoc("card", added[i]));
-            MLAKE_ASSIGN_OR_RETURN(metadata::ModelCard card,
+            MLAKE_ASSIGN_OR_RETURN(cards[i],
                                    metadata::ModelCard::FromJson(card_doc));
-            texts[i] = card.SearchText();
             MLAKE_ASSIGN_OR_RETURN(Json emb_doc,
                                    catalog_->GetDoc("embedding", added[i]));
             MLAKE_ASSIGN_OR_RETURN(vecs[i], FloatsFromJson(emb_doc));
@@ -567,10 +557,10 @@ Status ModelLake::LoadIndexSnapshots() {
           }));
       std::vector<int64_t> internal_ids(added.size());
       for (size_t i = 0; i < added.size(); ++i) {
-        set.bm25.Add(added[i], texts[i]);
-        set.digest_by_id[added[i]] = digests[i];
-        internal_ids[i] = static_cast<int64_t>(set.ann_ids.size());
-        set.ann_ids.push_back(added[i]);
+        set.bm25.Add(added[i], cards[i].SearchText());
+        internal_ids[i] = static_cast<int64_t>(set.columns.rows());
+        MLAKE_RETURN_NOT_OK(
+            set.columns.Append(cards[i], vecs[i], digests[i]));
       }
       MLAKE_RETURN_NOT_OK(set.ann->Build(internal_ids, vecs, options_.exec));
     }
@@ -694,12 +684,14 @@ Status ModelLake::CompactIndices() {
     if (outcome.ok()) {
       // Serve the base segment from the files just written (mmap) so a
       // long-lived lake sheds the heap copy; if the reload fails for
-      // any reason the in-memory fresh set has identical contents.
+      // any reason the in-memory fresh set has identical contents. The
+      // fresh column store is what the sidecar was written from, so it
+      // is adopted rather than decoded back.
       IndexSet loaded;
       Status reloaded = LoadIndexSetFromFiles(
           JoinPath(IndexDir(), ann_name), JoinPath(IndexDir(), bm25_name),
           JoinPath(IndexDir(), lsh_name), JoinPath(IndexDir(), ids_name),
-          &loaded);
+          &loaded, &fresh.columns);
       InstallIndexSet(reloaded.ok() ? std::move(loaded) : std::move(fresh));
       index_generation_ = gen;
     }
@@ -714,11 +706,12 @@ Status ModelLake::CompactIndices() {
     }
     Status committed = journal_->Commit(intent.seq);
     if (outcome.ok()) outcome = committed;
+    // Under mu_: IndexStatsJson reads it under the shared lock.
+    last_compact_ms_ =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
   }
-  last_compact_ms_ =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
   return outcome;
 }
 
@@ -929,7 +922,7 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
   }
   MLAKE_ASSIGN_OR_RETURN(intent.seq, BeginIntentLocked(intent));
 
-  const size_t pre_ann_ids = ann_ids_.size();
+  const size_t pre_rows = columns_.rows();
   const size_t pre_ann_delta = ann_->DeltaSize();
   Status applied = [&]() -> Status {
     // Blobs first (content-addressed, idempotent), then catalog docs and
@@ -958,9 +951,9 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
       MLAKE_RETURN_NOT_OK(
           catalog_->PutDoc("embedding", id, FloatsToJson(row.embedding)));
       bm25_.Add(id, row.card->SearchText());
-      digest_by_id_[id] = row.digest;
-      internal_ids[i] = static_cast<int64_t>(ann_ids_.size());
-      ann_ids_.push_back(id);
+      internal_ids[i] = static_cast<int64_t>(columns_.rows());
+      MLAKE_RETURN_NOT_OK(
+          columns_.Append(*row.card, row.embedding, row.digest));
       // Metadata-only models carry no recorded lineage, so the graph
       // JSON stays proportional to the artifact-backed population.
       if (!row.digest.empty()) graph_.AddModel(id);
@@ -994,7 +987,7 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
                         << rolled_back.ToString()
                         << "); will be replayed on next open";
     }
-    RollbackBatchIndexesLocked(ids, pre_ann_ids, pre_ann_delta);
+    RollbackBatchIndexesLocked(ids, pre_rows, pre_ann_delta);
   }
   ++mutation_epoch_;
   if (!applied.ok()) return applied;
@@ -1003,14 +996,16 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
 }
 
 Status ModelLake::LogAppliedLocked(const char* op, Json payload) {
-  if (!options_.replication_log) return Status::OK();
-  // Apply-then-log: make the mutation durable first, then append and
-  // commit the log entry so replicas replay it. A crash between Sync
-  // and Commit leaves a pending intent whose mutation already applied;
-  // Recover completes the Commit (never rolls it back). A crash before
-  // Begin loses only the log entry — the periodic fingerprint exchange
-  // catches the divergence and a re-seed repairs it.
+  // Apply-then-log: make the mutation durable first — on every lake, so
+  // an acknowledged edit survives a power loss — then, on a
+  // replication-log lake, append and commit the log entry so replicas
+  // replay it. A crash between Sync and Commit leaves a pending intent
+  // whose mutation already applied; Recover completes the Commit (never
+  // rolls it back). A crash before Begin loses only the log entry — the
+  // periodic fingerprint exchange catches the divergence and a re-seed
+  // repairs it.
   MLAKE_RETURN_NOT_OK(catalog_->Sync());
+  if (!options_.replication_log) return Status::OK();
   storage::Intent intent;
   intent.op = op;
   intent.payload = std::move(payload);
@@ -1019,12 +1014,9 @@ Status ModelLake::LogAppliedLocked(const char* op, Json payload) {
 }
 
 void ModelLake::RollbackBatchIndexesLocked(const std::vector<std::string>& ids,
-                                           size_t pre_ann_ids,
+                                           size_t pre_rows,
                                            size_t pre_ann_delta) {
-  for (const std::string& id : ids) {
-    bm25_.Remove(id);
-    digest_by_id_.erase(id);
-  }
+  for (const std::string& id : ids) bm25_.Remove(id);
   // The batch's vectors were appended to the ANN delta tail; peel them
   // off. A partially applied batch may have appended fewer than
   // ids.size() rows, so measure rather than assume.
@@ -1041,10 +1033,10 @@ void ModelLake::RollbackBatchIndexesLocked(const std::vector<std::string>& ids,
                           << ": index rebuild after aborted ingest failed ("
                           << rebuilt.ToString() << "); reopen the lake";
       }
-      return;  // rebuild already resized ann_ids_
+      return;  // the rebuild installed fresh columns
     }
   }
-  ann_ids_.resize(pre_ann_ids);
+  columns_.Truncate(pre_rows);
 }
 
 int64_t ModelLake::EmbeddingDim() const { return embedder_->Dim(); }
@@ -1067,15 +1059,7 @@ Result<std::shared_ptr<const storage::ModelArtifact>> ModelLake::LoadArtifact(
 }
 
 Result<std::string> ModelLake::DigestForUnlocked(const std::string& id) const {
-  std::string digest;
-  if (auto it = digest_by_id_.find(id); it != digest_by_id_.end()) {
-    digest = it->second;
-  } else {
-    // Fallback for ids the map has not seen (defensive; the map tracks
-    // every ingest and Open rebuild).
-    MLAKE_ASSIGN_OR_RETURN(Json model_doc, catalog_->GetDoc("model", id));
-    digest = model_doc.GetString("artifact_digest");
-  }
+  MLAKE_ASSIGN_OR_RETURN(std::string digest, ArtifactDigestUnlocked(id));
   if (digest.empty()) {
     // Metadata-only models (IngestCards) are cataloged and searchable
     // but have no checkpoint behind them.
@@ -1129,6 +1113,10 @@ Status ModelLake::UpdateCardLocked(const metadata::ModelCard& card) {
   Json doc = card.ToJson();
   MLAKE_RETURN_NOT_OK(catalog_->PutDoc("card", card.model_id, doc));
   bm25_.Add(card.model_id, card.SearchText());  // replaces
+  if (const uint32_t row = columns_.Find(card.model_id);
+      row != search::ModelColumns::kNoRow) {
+    columns_.Update(row, card);
+  }
   ++mutation_epoch_;
   Json payload = Json::MakeObject();
   payload.Set("card", std::move(doc));
@@ -1199,14 +1187,21 @@ Status ModelLake::QuarantineModelLocked(const std::string& id,
   // earlier pass); the models still need their degraded mark.
   if (!moved.ok() && !moved.IsNotFound()) return moved;
   // Content addressing deduplicates identical checkpoints, so one bad
-  // blob can back several ids — degrade all of them.
-  for (const auto& [other_id, other_digest] : digest_by_id_) {
-    if (other_digest != digest) continue;
+  // blob can back several ids — degrade all of them, in id order.
+  std::vector<std::pair<std::string, uint32_t>> sharing;  // (id, row)
+  for (uint32_t row = 0; row < columns_.rows(); ++row) {
+    if (columns_.Present(row) && columns_.Digest(row) == digest) {
+      sharing.emplace_back(columns_.Id(row), row);
+    }
+  }
+  std::sort(sharing.begin(), sharing.end());
+  for (const auto& [other_id, row] : sharing) {
     Json doc = Json::MakeObject();
     doc.Set("digest", digest);
     doc.Set("reason", reason);
     MLAKE_RETURN_NOT_OK(catalog_->PutDoc("degraded", other_id, doc));
     degraded_.insert(other_id);
+    columns_.MarkDegraded(row);
   }
   return catalog_->Sync();
 }
@@ -1736,8 +1731,11 @@ Result<std::string> ModelLake::ArtifactDigest(const std::string& id) const {
 
 Result<std::string> ModelLake::ArtifactDigestUnlocked(
     const std::string& id) const {
-  if (auto it = digest_by_id_.find(id); it != digest_by_id_.end()) {
-    return it->second;
+  // The column rows carry every cataloged model's digest, so the load
+  // path skips a model-doc parse; the catalog answers for the rest.
+  if (const uint32_t row = columns_.Find(id);
+      row != search::ModelColumns::kNoRow && columns_.Present(row)) {
+    return std::string(columns_.Digest(row));
   }
   MLAKE_ASSIGN_OR_RETURN(Json model_doc, catalog_->GetDoc("model", id));
   return model_doc.GetString("artifact_digest");
@@ -1875,12 +1873,9 @@ class ModelLake::SearchView : public search::SearchContext {
   SearchView(const ModelLake& lake, const search::SearchOverlay& overlay)
       : lake_(lake), overlay_(overlay) {}
 
-  std::vector<std::string> AllModelIds() const override {
-    return lake_.SearchableModelIdsUnlocked();
-  }
   CatalogStats Stats() const override { return lake_.StatsUnlocked(); }
-  Result<metadata::ModelCard> CardFor(const std::string& id) const override {
-    return lake_.CardForUnlocked(id);
+  const search::ModelColumns& Columns() const override {
+    return lake_.columns_;
   }
   Result<std::vector<float>> EmbeddingFor(
       const std::string& id) const override {
@@ -1909,9 +1904,10 @@ class ModelLake::SearchView : public search::SearchContext {
       const std::string& dataset, double min_overlap) const override {
     return lake_.TrainedOnUnlocked(dataset, min_overlap);
   }
-  bool IsDescendantOf(const std::string& id,
-                      const std::string& ancestor) const override {
-    return lake_.IsDescendantOfUnlocked(id, ancestor);
+  std::vector<std::string> Descendants(
+      const std::string& ancestor) const override {
+    if (!lake_.graph_.HasModel(ancestor)) return {};
+    return lake_.graph_.Descendants(ancestor);
   }
 
  private:
@@ -2027,29 +2023,13 @@ Json ModelLake::PlannerStatsJson() const {
 }
 
 search::SearchContext::CatalogStats ModelLake::StatsUnlocked() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  if (stats_valid_ && stats_epoch_ == mutation_epoch_) return stats_cache_;
   search::SearchContext::CatalogStats stats;
   stats.valid = true;
-  std::vector<std::string> ids = SearchableModelIdsUnlocked();
-  stats.num_models = ids.size();
+  stats.num_models = columns_.live_rows();
   stats.ann_live = ann_->Size();
   stats.bm25_live = bm25_.NumDocs();
-  for (const std::string& id : ids) {
-    auto card = CardForUnlocked(id);
-    if (!card.ok()) continue;
-    const metadata::ModelCard& c = card.ValueUnsafe();
-    if (!c.task.empty()) ++stats.field_counts["task"][c.task];
-    if (!c.creator.empty()) ++stats.field_counts["creator"][c.creator];
-    if (!c.license.empty()) ++stats.field_counts["license"][c.license];
-    if (!c.architecture.empty()) {
-      ++stats.field_counts["architecture"][c.architecture];
-    }
-  }
-  stats_cache_ = std::move(stats);
-  stats_epoch_ = mutation_epoch_;
-  stats_valid_ = true;
-  return stats_cache_;
+  stats.field_counts = columns_.FieldCounts();
+  return stats;
 }
 
 search::SearchContext::CatalogStats ModelLake::Stats() const {
@@ -2127,7 +2107,7 @@ ModelLake::KeywordScoresBatch(const std::vector<std::string>& texts,
   std::vector<Result<std::vector<std::pair<std::string, double>>>> results;
   results.reserve(texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {
-    results.emplace_back(MapTextHitsUnlocked(batch[i], k));
+    results.emplace_back(MapTextHitsUnlocked(std::move(batch[i]), k));
   }
   return results;
 }
@@ -2173,26 +2153,14 @@ Result<metadata::ModelCard> ModelLake::CardFor(const std::string& id) const {
 
 Result<std::vector<float>> ModelLake::EmbeddingForUnlocked(
     const std::string& id) const {
-  // Cache key: content digest + embedder config. Keyed by digest (not
-  // id) so identical checkpoints share one entry, and so the key is
-  // immutable — a digest always means the same bytes. Only values
-  // parsed from the catalog are cached (never freshly computed ones),
-  // so a cached read is bit-identical to an uncached one.
-  std::string key;
-  if (embedding_cache_->enabled()) {
-    if (auto digest = DigestForUnlocked(id); digest.ok()) {
-      key = digest.ValueUnsafe() + "|" + embedder_key_;
-      if (auto cached = embedding_cache_->Get(key)) return *cached;
-    }
+  // The matrix holds the catalog's embedding of every model, degraded
+  // ones included; a model that left the catalog has none.
+  const uint32_t row = columns_.Find(id);
+  if (row == search::ModelColumns::kNoRow || !columns_.Present(row)) {
+    return Status::NotFound("key not found: embedding/" + id);
   }
-  MLAKE_ASSIGN_OR_RETURN(Json doc, catalog_->GetDoc("embedding", id));
-  MLAKE_ASSIGN_OR_RETURN(std::vector<float> vec, FloatsFromJson(doc));
-  if (!key.empty()) {
-    embedding_cache_->Put(key,
-                          std::make_shared<const std::vector<float>>(vec),
-                          vec.size() * sizeof(float) + key.size());
-  }
-  return vec;
+  const float* vec = columns_.Embedding(row);
+  return std::vector<float>(vec, vec + columns_.dim());
 }
 
 Result<std::vector<float>> ModelLake::EmbeddingFor(
@@ -2207,9 +2175,9 @@ std::vector<std::pair<std::string, float>> ModelLake::MapNeighborsUnlocked(
   out.reserve(std::min(hits.size(), k));
   for (const index::Neighbor& n : hits) {
     if (out.size() >= k) break;
-    const std::string& id = ann_ids_[static_cast<size_t>(n.id)];
-    if (degraded_.count(id) > 0) continue;
-    out.emplace_back(id, n.distance);
+    const uint32_t row = static_cast<uint32_t>(n.id);
+    if (!columns_.Live(row)) continue;  // degraded
+    out.emplace_back(columns_.Id(row), n.distance);
   }
   return out;
 }
@@ -2231,12 +2199,13 @@ Result<std::vector<std::pair<std::string, float>>> ModelLake::NearestModels(
 }
 
 std::vector<std::pair<std::string, double>> ModelLake::MapTextHitsUnlocked(
-    const std::vector<index::TextHit>& hits, size_t k) const {
+    std::vector<index::TextHit> hits, size_t k) const {
   std::vector<std::pair<std::string, double>> out;
-  for (const index::TextHit& hit : hits) {
+  out.reserve(std::min(hits.size(), k));
+  for (index::TextHit& hit : hits) {
     if (out.size() >= k) break;
     if (degraded_.count(hit.doc_id) > 0) continue;
-    out.emplace_back(hit.doc_id, hit.score);
+    out.emplace_back(std::move(hit.doc_id), hit.score);
   }
   return out;
 }
@@ -2273,18 +2242,24 @@ ModelLake::TrainedOnUnlocked(const std::string& dataset,
       }
     }
   }
-  // Models whose cards claim training on any related dataset.
+  // Models whose cards claim training on any related dataset: the
+  // overlap per dataset code, then the best over each live row's codes.
+  const search::ModelColumns::Dictionary& names =
+      columns_.dict(search::ModelColumns::kDataset);
+  std::vector<double> overlap(names.size(), 0.0);
+  for (uint32_t code = 0; code < names.size(); ++code) {
+    auto it = related_datasets.find(names.value(code));
+    if (it != related_datasets.end()) overlap[code] = it->second;
+  }
   std::vector<std::pair<std::string, double>> out;
-  for (const std::string& id : SearchableModelIdsUnlocked()) {
-    auto card = CardForUnlocked(id);
-    if (!card.ok()) continue;
+  for (uint32_t row = 0; row < columns_.rows(); ++row) {
+    if (!columns_.Live(row)) continue;
     double best = 0.0;
-    for (const std::string& trained : card.ValueUnsafe().training_datasets) {
-      auto it = related_datasets.find(trained);
-      if (it != related_datasets.end()) best = std::max(best, it->second);
+    for (uint32_t code : columns_.Datasets(row)) {
+      best = std::max(best, overlap[code]);
     }
     if (best >= min_overlap || best == 1.0) {
-      if (best > 0.0) out.emplace_back(id, best);
+      if (best > 0.0) out.emplace_back(columns_.Id(row), best);
     }
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
@@ -2297,14 +2272,6 @@ Result<std::vector<std::pair<std::string, double>>> ModelLake::TrainedOn(
     const std::string& dataset, double min_overlap) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return TrainedOnUnlocked(dataset, min_overlap);
-}
-
-bool ModelLake::IsDescendantOfUnlocked(const std::string& id,
-                                       const std::string& ancestor) const {
-  if (!graph_.HasModel(ancestor)) return false;
-  std::vector<std::string> descendants = graph_.Descendants(ancestor);
-  return std::find(descendants.begin(), descendants.end(), id) !=
-         descendants.end();
 }
 
 // ----------------------------------------------------------- benchmarking
@@ -2525,7 +2492,6 @@ Result<Json> ModelLake::AuditModel(const std::string& id) const {
 ModelLake::LakeCacheStats ModelLake::CacheStats() const {
   LakeCacheStats stats;
   stats.artifacts = artifact_cache_->Stats();
-  stats.embeddings = embedding_cache_->Stats();
   return stats;
 }
 
@@ -2533,7 +2499,6 @@ Json ModelLake::CacheStatsJson() const {
   LakeCacheStats stats = CacheStats();
   Json out = Json::MakeObject();
   out.Set("artifact_cache", storage::CacheStatsToJson(stats.artifacts));
-  out.Set("embedding_cache", storage::CacheStatsToJson(stats.embeddings));
   return out;
 }
 
@@ -2722,19 +2687,23 @@ bool ModelLake::ExportIterator::Next(std::string* line) {
       break;
     }
     case Stage::kModels: {
-      const std::string& id = model_ids_[cursor_++];
-      record.Set("kind", std::string("model"));
-      record.Set("id", id);
       // Catalog docs ship verbatim — the byte-identity anchor (the
-      // replica re-put these exact bytes at apply time).
-      if (auto doc = lake_->catalog_->GetDoc("model", id); doc.ok()) {
-        record.Set("model", doc.MoveValueUnsafe());
+      // replica re-put these exact bytes at apply time). Their stored
+      // bytes are the compact Dump a parse-and-dump would produce, so
+      // they are spliced in unparsed, in the record's field order.
+      const std::string& id = model_ids_[cursor_++];
+      line->append("{\"kind\":\"model\",\"id\":");
+      line->append(Json(id).Dump());
+      for (const char* kind : {"model", "card"}) {
+        if (auto raw = lake_->catalog_->GetRaw(kind, id); raw.ok()) {
+          line->append(",\"").append(kind).append("\":");
+          line->append(raw.ValueUnsafe());
+        }
       }
-      if (auto doc = lake_->catalog_->GetDoc("card", id); doc.ok()) {
-        record.Set("card", doc.MoveValueUnsafe());
-      }
-      record.Set("degraded", lake_->degraded_.count(id) > 0);
-      break;
+      line->append(lake_->degraded_.count(id) > 0 ? ",\"degraded\":true}\n"
+                                                  : ",\"degraded\":false}\n");
+      ++records_emitted_;
+      return true;
     }
     case Stage::kEdges: {
       const versioning::VersionEdge& e = edges_[cursor_++];

@@ -89,10 +89,6 @@ struct LakeOptions {
   /// digest). 0 disables it.
   size_t artifact_cache_bytes = size_t{256} << 20;
 
-  /// Byte budget of the embedding cache (keyed by digest + embedder
-  /// config). 0 disables it.
-  size_t embedding_cache_bytes = size_t{32} << 20;
-
   /// Shards per cache (per-shard mutexes bound reader contention).
   size_t cache_shards = 8;
 
@@ -410,8 +406,8 @@ class ModelLake {
   // nesting would deadlock against a waiting writer).
   std::vector<std::string> AllModelIds() const;
   /// Catalog statistics for the MLQL cost-based planner: model count,
-  /// index live sizes, and per-field value histograms. Rebuilt lazily —
-  /// one O(n) card scan per mutation epoch, then served from cache.
+  /// index live sizes, and per-field value histograms — the column
+  /// store's live rows and dictionary counts, no card scan.
   search::SearchContext::CatalogStats Stats() const;
   Result<metadata::ModelCard> CardFor(const std::string& id) const;
   Result<std::vector<float>> EmbeddingFor(const std::string& id) const;
@@ -599,15 +595,15 @@ class ModelLake {
 
   // ------------------------------------------------------------- misc
 
-  /// Counters of the lake's two storage caches.
+  /// Counters of the lake's storage cache (embeddings are read from the
+  /// column store's matrix, uncached).
   struct LakeCacheStats {
     storage::CacheStats artifacts;
-    storage::CacheStats embeddings;
   };
   LakeCacheStats CacheStats() const;
 
-  /// CacheStats as JSON ({"artifact_cache": {...}, "embedding_cache":
-  /// {...}}); what `mlake stats` and the benches print.
+  /// CacheStats as JSON ({"artifact_cache": {...}}); what `mlake stats`
+  /// and the benches print.
   Json CacheStatsJson() const;
 
   /// Rebuilds the indexes from the catalog, writes them as a new
@@ -676,10 +672,11 @@ class ModelLake {
   /// readers never observe a half-replaced index set.
   struct IndexSet {
     std::unique_ptr<index::HnswIndex> ann;
-    std::vector<std::string> ann_ids;
+    /// Row i holds the model of HNSW element i: the handle table (ids)
+    /// plus the decoded card columns and embeddings.
+    search::ModelColumns columns;
     index::InvertedIndex bm25;
     std::unique_ptr<index::MinHashLsh> lsh;
-    std::map<std::string, std::string> digest_by_id;
     /// Dataset names the LSH holds (for the ids snapshot + reconcile).
     std::vector<std::string> dataset_names;
   };
@@ -689,6 +686,7 @@ class ModelLake {
   /// Builds a fresh IndexSet from the catalog (parallel over
   /// options.exec, deterministic in catalog order).
   Status BuildIndexSetFromCatalog(IndexSet* out) const;
+  /// Swaps `set` in and marks the degraded models' rows not live.
   void InstallIndexSet(IndexSet set);
   /// Open()-time index bring-up: snapshot load + reconcile when enabled
   /// and present, full catalog rebuild otherwise.
@@ -699,14 +697,17 @@ class ModelLake {
   /// manifest exists.
   Status LoadIndexSnapshots();
   /// Loads the four snapshot files of one generation into `out`
-  /// (mmap-backed base segments, empty deltas).
+  /// (mmap-backed base segments, empty deltas). The column store is
+  /// decoded from the ids sidecar, unless `built` — the store that
+  /// sidecar was just written from — is given: it is then moved in on
+  /// success and left alone on failure.
   Status LoadIndexSetFromFiles(const std::string& ann_path,
                                const std::string& bm25_path,
                                const std::string& lsh_path,
-                               const std::string& ids_path,
-                               IndexSet* out) const;
-  /// Writes the id table / digest table / dataset-name table companion
-  /// snapshot (SnapshotKind::kLakeIds).
+                               const std::string& ids_path, IndexSet* out,
+                               search::ModelColumns* built = nullptr) const;
+  /// Writes the id table / digest table / dataset-name table / column
+  /// store companion snapshot (SnapshotKind::kLakeIds).
   Status WriteIdsSnapshot(const IndexSet& set, const std::string& path,
                           uint64_t generation) const;
   /// Deletes index-dir files not referenced by the current manifest —
@@ -753,8 +754,9 @@ class ModelLake {
   Result<std::vector<std::string>> IngestRowsLocked(
       std::vector<IngestRow> rows);
   /// The apply-then-log tail of record_edge, register_dataset and
-  /// update_card: on a replication_log lake, syncs the applied mutation
-  /// and journals `op` with `payload` (Begin + Commit).
+  /// update_card: syncs the applied mutation, then, on a
+  /// replication_log lake, journals `op` with `payload` (Begin +
+  /// Commit).
   Status LogAppliedLocked(const char* op, Json payload);
   /// Journals `intent` — at forced_seq_ (replica apply, preserving the
   /// leader's seq + epoch stamp) when set, else with a fresh local seq.
@@ -767,16 +769,18 @@ class ModelLake {
   std::string ReplicationFingerprintUnlocked() const;
   /// Incremental index rollback of a failed ingest batch: removes the
   /// batch's BM25 docs and digest entries and truncates the ANN delta
-  /// tail — O(batch), not O(lake). Caller holds mu_ exclusive.
+  /// tail and the column rows — O(batch), not O(lake). Caller holds
+  /// mu_ exclusive.
   void RollbackBatchIndexesLocked(const std::vector<std::string>& ids,
-                                  size_t pre_ann_ids, size_t pre_ann_delta);
+                                  size_t pre_rows, size_t pre_ann_delta);
   std::vector<std::string> ListModelsUnlocked() const;
   /// ListModelsUnlocked minus degraded ids — what search/query paths
   /// iterate so a quarantined model never surfaces in results.
   std::vector<std::string> SearchableModelIdsUnlocked() const;
   Result<std::unique_ptr<nn::Model>> LoadModelUnlocked(
       const std::string& id) const;
-  /// id -> artifact digest via the in-memory map (catalog fallback).
+  /// id -> artifact digest via the column rows (catalog fallback);
+  /// FailedPrecondition for a metadata-only model.
   Result<std::string> DigestForUnlocked(const std::string& id) const;
   /// Digest -> decoded artifact through the artifact cache; the cache
   /// miss path is GetView (zero-copy) + ParseArtifact.
@@ -787,22 +791,22 @@ class ModelLake {
       const std::string& id) const;
   Result<std::vector<std::pair<std::string, float>>> NearestModelsUnlocked(
       const std::vector<float>& query, size_t k) const;
-  /// Maps raw ANN hits through ann_ids_, drops degraded ids, caps at k
+  /// Maps raw ANN hits to ids through the column rows, drops degraded
+  /// ones, caps at k
   /// — the shared tail of NearestModelsUnlocked and the batch probe.
   std::vector<std::pair<std::string, float>> MapNeighborsUnlocked(
       const std::vector<index::Neighbor>& hits, size_t k) const;
   /// Drops degraded ids from BM25 hits and caps at k — the shared tail
   /// of KeywordScoresUnlocked and the batch probe.
   std::vector<std::pair<std::string, double>> MapTextHitsUnlocked(
-      const std::vector<index::TextHit>& hits, size_t k) const;
+      std::vector<index::TextHit> hits, size_t k) const;
   /// BM25 top-k scored with `stats` as the corpus statistics when
   /// given, else with this lake's own.
   Result<std::vector<std::pair<std::string, double>>> KeywordScoresUnlocked(
       const std::string& text, size_t k,
       const index::Bm25Stats* stats = nullptr) const;
-  /// Lazily (re)computes the planner's catalog statistics for the
-  /// current mutation epoch. Caller holds mu_ (shared suffices:
-  /// stats_mu_ serializes the rebuild).
+  /// The planner's catalog statistics, read off the column store.
+  /// Caller holds mu_ (shared suffices).
   search::SearchContext::CatalogStats StatsUnlocked() const;
   /// Parse-once plan-cache lookup for Query(). Caller holds mu_
   /// (shared suffices: plan_mu_ guards the map).
@@ -810,8 +814,6 @@ class ModelLake {
       std::string_view mlql) const;
   Result<std::vector<std::pair<std::string, double>>> TrainedOnUnlocked(
       const std::string& dataset, double min_overlap) const;
-  bool IsDescendantOfUnlocked(const std::string& id,
-                              const std::string& ancestor) const;
   Result<std::vector<std::string>> DatasetShardsUnlocked(
       const std::string& name) const;
   Result<std::vector<search::RankedModel>> RelatedModelsUnlocked(
@@ -837,32 +839,23 @@ class ModelLake {
   std::unique_ptr<embed::ModelEmbedder> embedder_;
   Tensor probes_;
 
-  /// Read-path caches. Internally synchronized (per-shard mutexes), so
-  /// shared-lock readers may populate them concurrently; mutable for
-  /// exactly that reason. Keys are content digests, which makes stale
-  /// entries impossible: the same digest always decodes to the same
-  /// artifact, and deleting/re-ingesting a model id changes the digest
-  /// the catalog points at, never the digest's meaning.
+  /// Read-path artifact cache. Internally synchronized (per-shard
+  /// mutexes), so shared-lock readers may populate it concurrently;
+  /// mutable for exactly that reason. Keys are content digests, which
+  /// makes stale entries impossible: the same digest always decodes to
+  /// the same artifact, and deleting/re-ingesting a model id changes
+  /// the digest the catalog points at, never the digest's meaning.
   mutable std::unique_ptr<
       storage::ShardedLruCache<std::string, storage::ModelArtifact>>
       artifact_cache_;
-  mutable std::unique_ptr<
-      storage::ShardedLruCache<std::string, std::vector<float>>>
-      embedding_cache_;
-  /// Hash of (embedder name, dim, probe config): the second half of the
-  /// embedding-cache key, so lakes sharing a process never mix
-  /// embeddings from different embedder configurations.
-  std::string embedder_key_;
-  /// model id -> artifact digest, maintained under the writer lock at
-  /// ingest and rebuilt on Open; saves a catalog JSON parse on every
-  /// load.
-  std::map<std::string, std::string> digest_by_id_;
-
   /// Readers/writer lock over all lake state (see class comment).
   mutable std::shared_mutex mu_;
 
   std::unique_ptr<index::HnswIndex> ann_;
-  std::vector<std::string> ann_ids_;  // ANN internal id -> model id
+  /// The decoded column store, row i = ANN element i (DESIGN.md §16):
+  /// what MLQL, hybrid, the planner statistics and EmbeddingFor read.
+  /// Maintained on every path that touches the indexes, under mu_.
+  search::ModelColumns columns_;
   index::InvertedIndex bm25_;
   std::unique_ptr<index::MinHashLsh> dataset_lsh_;
 
@@ -896,15 +889,6 @@ class ModelLake {
   std::mutex compact_run_mu_;
 
   // ---- cost-based planner state (PR 7) ----
-
-  /// Catalog statistics served to the MLQL planner, rebuilt lazily
-  /// when the mutation epoch moves: one O(n) card scan per epoch, not
-  /// per query. stats_mu_ serializes the rebuild; callers hold mu_
-  /// shared, so the epoch they validate against cannot move under them.
-  mutable std::mutex stats_mu_;
-  mutable search::SearchContext::CatalogStats stats_cache_;
-  mutable uint64_t stats_epoch_ = 0;
-  mutable bool stats_valid_ = false;
 
   /// Parse-once MLQL plan cache: query text -> parsed AST, with the
   /// normalized AST rendering aliased to the same entry so formatting

@@ -30,15 +30,6 @@ struct Farther {
   }
 };
 
-/// Offset arrays in a snapshot must be non-decreasing and end exactly
-/// at `limit` for the CSR accessors to be in-bounds by construction.
-bool OffsetsWellFormed(const uint64_t* off, size_t count, uint64_t limit) {
-  if (count == 0 || off[0] != 0 || off[count - 1] != limit) return false;
-  for (size_t i = 1; i < count; ++i) {
-    if (off[i] < off[i - 1]) return false;
-  }
-  return true;
-}
 
 }  // namespace
 

@@ -29,14 +29,6 @@ int64_t TableIndex(const uint64_t* off, const char* bytes, size_t count,
   return -1;
 }
 
-/// Offset arrays must be non-decreasing and end at `limit`.
-bool OffsetsWellFormed(const uint64_t* off, size_t count, uint64_t limit) {
-  if (count == 0 || off[0] != 0 || off[count - 1] != limit) return false;
-  for (size_t i = 1; i < count; ++i) {
-    if (off[i] < off[i - 1]) return false;
-  }
-  return true;
-}
 
 }  // namespace
 

@@ -18,14 +18,6 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Offset arrays must be non-decreasing and end at `limit`.
-bool OffsetsWellFormed(const uint64_t* off, size_t count, uint64_t limit) {
-  if (count == 0 || off[0] != 0 || off[count - 1] != limit) return false;
-  for (size_t i = 1; i < count; ++i) {
-    if (off[i] < off[i - 1]) return false;
-  }
-  return true;
-}
 }  // namespace
 
 MinHashSignature ComputeMinHash(const std::vector<std::string>& items,

@@ -41,6 +41,10 @@ void SnapshotWriter::AddSection(std::string_view name, const void* data,
       std::string(static_cast<const char*>(data), bytes));
 }
 
+void SnapshotWriter::AddSection(std::string_view name, std::string bytes) {
+  sections_.emplace_back(std::string(name), std::move(bytes));
+}
+
 Result<std::string> SnapshotWriter::Serialize() const {
   for (size_t i = 0; i < sections_.size(); ++i) {
     if (sections_[i].first.empty() ||
@@ -186,6 +190,24 @@ Result<std::string_view> SnapshotReader::Section(
     }
   }
   return Status::NotFound("snapshot section not found: " + std::string(name));
+}
+
+void BuildStringTable(const std::vector<std::string>& items,
+                      std::vector<uint64_t>* offsets, std::string* bytes) {
+  offsets->assign(items.size() + 1, 0);
+  bytes->clear();
+  for (size_t i = 0; i < items.size(); ++i) {
+    *bytes += items[i];
+    (*offsets)[i + 1] = bytes->size();
+  }
+}
+
+bool OffsetsWellFormed(const uint64_t* off, size_t count, uint64_t limit) {
+  if (count == 0 || off[0] != 0 || off[count - 1] != limit) return false;
+  for (size_t i = 1; i < count; ++i) {
+    if (off[i] < off[i - 1]) return false;
+  }
+  return true;
 }
 
 }  // namespace mlake::index

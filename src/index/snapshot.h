@@ -64,6 +64,9 @@ class SnapshotWriter {
     AddSection(name, v.data(), v.size() * sizeof(T));
   }
 
+  /// Adds a section whose bytes the caller already owns (no copy).
+  void AddSection(std::string_view name, std::string bytes);
+
   /// Serializes header + TOC + payload into one buffer.
   Result<std::string> Serialize() const;
 
@@ -128,6 +131,16 @@ class SnapshotReader {
   uint64_t generation_ = 0;
   std::vector<Entry> entries_;
 };
+
+/// Flattens `items` into a CSR string table: `offsets` (items + 1
+/// entries, from 0) into the concatenated `bytes`.
+void BuildStringTable(const std::vector<std::string>& items,
+                      std::vector<uint64_t>* offsets, std::string* bytes);
+
+/// Whether a CSR offset array read from a snapshot runs non-decreasing
+/// from 0 to `limit` — the check every table must pass before its
+/// extents index anything.
+bool OffsetsWellFormed(const uint64_t* off, size_t count, uint64_t limit);
 
 }  // namespace mlake::index
 

@@ -10,7 +10,7 @@
 #include "common/result.h"
 #include "index/inverted_index.h"
 #include "index/vector_index.h"
-#include "metadata/model_card.h"
+#include "search/columns.h"
 
 namespace mlake::search {
 
@@ -34,9 +34,13 @@ struct SearchOverlay {
 
 /// The lake services the MLQL executor needs; implemented by
 /// `core::ModelLake`'s private SearchView (unlocked reads under the
-/// caller's shared lock, plus a SearchOverlay). Abstracting the surface
-/// keeps the query engine testable against a fake lake and free of a
-/// dependency cycle.
+/// caller's shared lock, plus a SearchOverlay). The executor scans the
+/// decoded column store (`Columns()`): predicates, ranks and similarity
+/// dots read its rows, never catalog JSON. The calls below resolve what
+/// the columns do not hold — index probes, the version graph, dataset
+/// overlap and query-model embeddings — and the executor maps their
+/// model ids back to rows. Abstracting the surface keeps the query
+/// engine testable against a fake lake and free of a dependency cycle.
 class SearchContext {
  public:
   /// Catalog statistics backing the executor's cost-based planner.
@@ -61,14 +65,12 @@ class SearchContext {
   /// (`valid == false`), which disables ANN-first planning.
   virtual CatalogStats Stats() const { return {}; }
 
-  /// Every model id in the lake.
-  virtual std::vector<std::string> AllModelIds() const = 0;
+  /// The decoded card columns and embeddings, one row per model; the
+  /// live rows are the searchable models.
+  virtual const ModelColumns& Columns() const = 0;
 
-  /// The (possibly incomplete) card for a model.
-  virtual Result<metadata::ModelCard> CardFor(
-      const std::string& id) const = 0;
-
-  /// The lake embedding of a model (for similarity ranking).
+  /// The lake embedding of a model — the query vector of a similarity
+  /// ranking, which may name a model another shard owns.
   virtual Result<std::vector<float>> EmbeddingFor(
       const std::string& id) const = 0;
 
@@ -85,10 +87,10 @@ class SearchContext {
   virtual Result<std::vector<std::pair<std::string, double>>> TrainedOn(
       const std::string& dataset, double min_overlap) const = 0;
 
-  /// Whether `id` is a (transitive) descendant of `ancestor` in the
-  /// version graph.
-  virtual bool IsDescendantOf(const std::string& id,
-                              const std::string& ancestor) const = 0;
+  /// The (transitive) descendants of `ancestor` in the version graph;
+  /// empty when the graph does not hold it.
+  virtual std::vector<std::string> Descendants(
+      const std::string& ancestor) const = 0;
 };
 
 }  // namespace mlake::search

@@ -40,8 +40,9 @@ struct HybridCandidate {
   double dot = 0.0;
 };
 
-/// Reciprocal-rank fusion of the hybrid ranking, shared by the local
-/// executor and the cluster router: each candidate scores
+/// Reciprocal-rank fusion of the hybrid ranking over id-string
+/// candidates (the cluster router); the local executor runs the same
+/// fusion over column rows. Each candidate scores
 /// 1/(kRrfOffset + keyword rank) when `keyword_order` (best first)
 /// holds it, plus 1/(kRrfOffset + similarity rank) when it has a dot
 /// product (ranked dot descending, id ascending). Keyword term first:
@@ -63,7 +64,8 @@ struct QueryResult {
 /// Planning: when the query is rank-only over behavior/weight
 /// similarity, the executor delegates to the ANN index (sublinear);
 /// keyword-only queries use the BM25 inverted index; everything else
-/// runs a card scan with per-row predicate evaluation.
+/// scans the lake's column store: the predicate is compiled once and
+/// evaluated to a row set, ranks and similarity dots read the columns.
 Result<QueryResult> ExecuteQuery(const SearchContext& lake,
                                  std::string_view mlql);
 
@@ -71,7 +73,8 @@ Result<QueryResult> ExecuteQuery(const SearchContext& lake,
 Result<QueryResult> ExecuteQuery(const SearchContext& lake,
                                  const Query& query);
 
-/// Evaluates a predicate against one card (exposed for tests).
+/// Evaluates a predicate against one card, as a one-row column store
+/// (exposed for tests).
 Result<bool> EvaluatePredicate(const SearchContext& lake, const Expr& expr,
                                const metadata::ModelCard& card);
 

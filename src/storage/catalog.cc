@@ -22,8 +22,13 @@ Status Catalog::PutDoc(const std::string& kind, const std::string& id,
 
 Result<Json> Catalog::GetDoc(const std::string& kind,
                              const std::string& id) const {
-  MLAKE_ASSIGN_OR_RETURN(std::string raw, kv_->Get(KeyFor(kind, id)));
+  MLAKE_ASSIGN_OR_RETURN(std::string raw, GetRaw(kind, id));
   return Json::Parse(raw);
+}
+
+Result<std::string> Catalog::GetRaw(const std::string& kind,
+                                    const std::string& id) const {
+  return kv_->Get(KeyFor(kind, id));
 }
 
 bool Catalog::Contains(const std::string& kind, const std::string& id) const {

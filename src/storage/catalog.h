@@ -30,6 +30,10 @@ class Catalog {
 
   Result<Json> GetDoc(const std::string& kind, const std::string& id) const;
 
+  /// The stored bytes of a doc (its compact `Dump()`), unparsed.
+  Result<std::string> GetRaw(const std::string& kind,
+                             const std::string& id) const;
+
   bool Contains(const std::string& kind, const std::string& id) const;
 
   Status DeleteDoc(const std::string& kind, const std::string& id);

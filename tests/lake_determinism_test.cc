@@ -36,7 +36,6 @@ LakeSnapshot BuildLake(const std::string& root, const ExecutionContext& exec,
     options.blob_mmap = false;
     options.blob_verify = storage::VerifyMode::kAlways;
     options.artifact_cache_bytes = 0;
-    options.embedding_cache_bytes = 0;
   }
   auto lake = core::ModelLake::Open(options).MoveValueUnsafe();
 
@@ -145,7 +144,6 @@ TEST(LakeDeterminismTest, CachesOnAndOffAreByteIdentical) {
   cold_options.blob_mmap = false;
   cold_options.blob_verify = storage::VerifyMode::kAlways;
   cold_options.artifact_cache_bytes = 0;
-  cold_options.embedding_cache_bytes = 0;
   auto cold = core::ModelLake::Open(cold_options).MoveValueUnsafe();
   for (const std::string& id : warm->ListModels()) {
     // First warm read populates the caches, second is served by them.
@@ -162,7 +160,6 @@ TEST(LakeDeterminismTest, CachesOnAndOffAreByteIdentical) {
   }
   auto stats = warm->CacheStats();
   EXPECT_GT(stats.artifacts.hits, 0u);
-  EXPECT_GT(stats.embeddings.hits, 0u);
 
   ASSERT_TRUE(RemoveAll(root).ok());
 }

@@ -15,6 +15,7 @@
 #include "core/model_lake.h"
 #include "nn/trainer.h"
 #include "storage/blob_store.h"
+#include "versioning/model_graph.h"
 
 namespace mlake::core {
 namespace {
@@ -229,6 +230,69 @@ TEST_F(LakeRecoveryTest, EmptyIngestBatchWritesNothing) {
   ASSERT_TRUE(lake->IngestCards({}).ok());
   EXPECT_EQ(fs.mutating_ops(), opened);
   EXPECT_EQ(lake->ReplicationLastSeq(), 0u);
+}
+
+// Apply-then-log edits are durable on every lake, not only on
+// replication-log ones: on a plain lake RecordEdge, RegisterDataset and
+// UpdateCard each end with a catalog fsync, and a failed fsync is the
+// caller's error instead of an acknowledged edit a power loss drops.
+TEST_F(LakeRecoveryTest, AppliedEditsSyncTheCatalogOnPlainLakes) {
+  // One deterministic script: open, ingest two models, then the three
+  // edits. `ops[k]` is the mutating-op count after edit k.
+  auto script = [this](const std::string& root, FaultInjectingFs* fs,
+                       std::vector<uint64_t>* ops) {
+    std::vector<Status> results;
+    auto lake = ModelLake::Open(Options(root, fs)).MoveValueUnsafe();
+    auto a = MakeModel(21);
+    auto b = MakeModel(22);
+    EXPECT_TRUE(lake->IngestModel(*a, Card("a")).ok());
+    EXPECT_TRUE(lake->IngestModel(*b, Card("b")).ok());
+    ops->push_back(fs->mutating_ops());
+    versioning::VersionEdge edge;
+    edge.parent = "a";
+    edge.child = "b";
+    edge.type = versioning::EdgeType::kFinetune;
+    results.push_back(lake->RecordEdge(edge));
+    ops->push_back(fs->mutating_ops());
+    results.push_back(lake->RegisterDataset("synthetic/set", {"s1", "s2"}));
+    ops->push_back(fs->mutating_ops());
+    metadata::ModelCard edited = Card("b");
+    edited.task = "edited";
+    results.push_back(lake->UpdateCard(edited));
+    ops->push_back(fs->mutating_ops());
+    return results;
+  };
+
+  std::vector<uint64_t> ops;
+  {
+    FaultInjectingFs fs(RealFs(), FaultPlan{});
+    for (const Status& s : script(JoinPath(dir_, "probe"), &fs, &ops)) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+  ASSERT_EQ(ops.size(), 4u);
+  for (size_t k = 0; k < 3; ++k) {
+    // The catalog append, then the catalog fsync.
+    EXPECT_EQ(ops[k + 1] - ops[k], 2u) << "edit " << k;
+    // Failing exactly that last op fails the edit.
+    FaultPlan plan;
+    plan.fail_ops = {ops[k + 1]};
+    FaultInjectingFs fs(RealFs(), plan);
+    std::vector<uint64_t> trial_ops;
+    std::vector<Status> results =
+        script(JoinPath(dir_, "trial" + std::to_string(k)), &fs, &trial_ops);
+    for (size_t j = 0; j < results.size(); ++j) {
+      if (j != k) {
+        EXPECT_TRUE(results[j].ok()) << results[j].ToString();
+        continue;
+      }
+      EXPECT_FALSE(results[j].ok()) << "edit " << k;
+      EXPECT_NE(results[j].message().find("fsync"), std::string::npos)
+          << results[j].ToString();
+      EXPECT_NE(results[j].message().find("catalog.log"), std::string::npos)
+          << results[j].ToString();
+    }
+  }
 }
 
 TEST_F(LakeRecoveryTest, PendingIntentRolledBackOnReopen) {

@@ -1,7 +1,9 @@
 // Lake-level tests for the incremental index lifecycle: metadata-only
 // card ingest, compaction + snapshot reopen equivalence, stale-snapshot
-// reconciliation, O(batch) rollback under injected faults, and the
-// stats surface.
+// reconciliation, O(batch) rollback under injected faults, the stats
+// surface, and the decoded column store MLQL and hybrid scan (equal to
+// the catalog on every maintenance path; its sidecar sections treated
+// as untrusted input).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +21,9 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/model_lake.h"
+#include "index/snapshot.h"
 #include "lakegen/lakegen.h"
+#include "nn/model.h"
 
 namespace mlake::core {
 namespace {
@@ -89,6 +94,170 @@ class LakeScaleTest : public ::testing::Test {
       fp += "|";
     }
     return fp;
+  }
+
+  /// MakeBatch with every column varied: mixed-case dictionary values,
+  /// empty fields, num_params, names that are not the id, descriptions,
+  /// several tags, two training datasets and metrics.
+  static std::vector<CardIngest> VariedBatch(int64_t dim, size_t n,
+                                             uint64_t seed,
+                                             const std::string& prefix) {
+    const char* creators[] = {"Ada-Labs", "ada-labs", "DeltaML", "everglade"};
+    const char* licenses[] = {"MIT", "apache-2.0", "mit", ""};
+    const char* archs[] = {"mlp-32x16", "MLP-64", "", "res-mlp"};
+    std::vector<CardIngest> batch = MakeBatch(dim, n, seed, prefix);
+    for (size_t i = 0; i < n; ++i) {
+      metadata::ModelCard& card = batch[i].card;
+      card.creator = creators[i % 4];
+      card.license = licenses[(i / 2) % 4];
+      card.architecture = archs[(i / 3) % 4];
+      card.num_params = static_cast<int64_t>((i % 5) * 9000);
+      if (i % 4 == 0) card.name = StrFormat("Name-%zu", i);
+      card.description = StrFormat("Model %zu for %s text", i,
+                                   i % 3 == 0 ? "Legal" : "news");
+      card.tags = {"scale", i % 2 == 0 ? "Legal" : "news"};
+      card.training_datasets = {i % 2 == 0 ? "synthetic/legal"
+                                           : "synthetic/news"};
+      if (i % 3 == 0) {
+        card.metrics.push_back({"bench-a", "accuracy", 0.5 + 0.01 * i});
+      }
+      if (i % 5 == 0) card.metrics.push_back({"bench-a", "f1", 0.25 * i});
+    }
+    return batch;
+  }
+
+  /// MLQL over every column and rank, plus hybrid search, TrainedOn and
+  /// the planner statistics, with exact (%a) scores. Limits exceed the
+  /// lake so every similarity query takes the exact scan plan.
+  static std::string ColumnAnswers(ModelLake* lake) {
+    static const char* kQueries[] = {
+        "FIND MODELS LIMIT 200",
+        "FIND MODELS WHERE task = 'SUMMARIZATION' LIMIT 200",
+        "FIND MODELS WHERE task != 'summarization' LIMIT 200",
+        "FIND MODELS WHERE task CONTAINS 'RETR' LIMIT 200",
+        "FIND MODELS WHERE creator = 'ada-labs' LIMIT 200",
+        "FIND MODELS WHERE creator != 'ADA-LABS' LIMIT 200",
+        "FIND MODELS WHERE creator CONTAINS 'ml' LIMIT 200",
+        "FIND MODELS WHERE license = 'mit' LIMIT 200",
+        "FIND MODELS WHERE license != 'MIT' LIMIT 200",
+        "FIND MODELS WHERE license CONTAINS '2.0' LIMIT 200",
+        "FIND MODELS WHERE architecture = 'MLP-64' LIMIT 200",
+        "FIND MODELS WHERE architecture != 'mlp-64' LIMIT 200",
+        "FIND MODELS WHERE architecture CONTAINS 'mlp' LIMIT 200",
+        "FIND MODELS WHERE name = 'NAME-4' LIMIT 200",
+        "FIND MODELS WHERE name != 'c-001' LIMIT 200",
+        "FIND MODELS WHERE name CONTAINS 'AME' LIMIT 200",
+        "FIND MODELS WHERE description = 'model 3 for legal text' LIMIT 200",
+        "FIND MODELS WHERE description != 'model 3 for legal text' "
+        "LIMIT 200",
+        "FIND MODELS WHERE description CONTAINS 'LEGAL' LIMIT 200",
+        "FIND MODELS WHERE model_id = 'C-007' LIMIT 200",
+        "FIND MODELS WHERE id != 'c-007' LIMIT 200",
+        "FIND MODELS WHERE id CONTAINS 'LATE' LIMIT 200",
+        "FIND MODELS WHERE num_params >= 9000 AND num_params < 27000 "
+        "LIMIT 200",
+        "FIND MODELS WHERE num_params = 0 OR num_params > 30000 LIMIT 200",
+        "FIND MODELS WHERE completeness > 0.4 LIMIT 200",
+        "FIND MODELS WHERE tag('LEGAL') LIMIT 200",
+        "FIND MODELS WHERE NOT tag('legal') AND tag('scale') LIMIT 200",
+        "FIND MODELS WHERE derived_from('r0') LIMIT 200",
+        "FIND MODELS WHERE trained_on('synthetic/legal') LIMIT 200",
+        "FIND MODELS WHERE trained_on('synthetic/legal', 0.2) LIMIT 200",
+        "FIND MODELS WHERE keyword('legal') LIMIT 200",
+        "FIND MODELS RANK BY metric('bench-a') LIMIT 200",
+        "FIND MODELS RANK BY metric('bench-a', 'f1') LIMIT 200",
+        "FIND MODELS WHERE creator = 'deltaml' RANK BY completeness() "
+        "LIMIT 200",
+        "FIND MODELS RANK BY keyword('legal news text') LIMIT 200",
+        "FIND MODELS WHERE tag('news') RANK BY behavior_sim('c-002') "
+        "LIMIT 200",
+        "FIND MODELS RANK BY hybrid('legal text', 'c-003') LIMIT 200",
+        "FIND MODELS WHERE license = 'mit' RANK BY hybrid('news', 'r0') "
+        "LIMIT 200",
+    };
+    std::string out;
+    auto ranked = [&out](const std::vector<search::RankedModel>& models) {
+      for (const search::RankedModel& m : models) {
+        out += StrFormat(" %s:%a", m.id.c_str(), m.score);
+      }
+      out += "\n";
+    };
+    for (const char* mlql : kQueries) {
+      auto result = lake->Query(mlql);
+      out += std::string(mlql) + " -> ";
+      if (!result.ok()) {
+        out += result.status().ToString() + "\n";
+        continue;
+      }
+      out += result.ValueUnsafe().plan + ";";
+      ranked(result.ValueUnsafe().models);
+    }
+    auto hybrid = lake->HybridSearch("news model", "c-004", 200);
+    EXPECT_TRUE(hybrid.ok()) << hybrid.status().ToString();
+    if (hybrid.ok()) ranked(hybrid.ValueUnsafe());
+    auto trained = lake->TrainedOn("synthetic/news", 0.2);
+    EXPECT_TRUE(trained.ok());
+    if (trained.ok()) {
+      for (const auto& [id, overlap] : trained.ValueUnsafe()) {
+        out += StrFormat(" %s:%a", id.c_str(), overlap);
+      }
+    }
+    search::SearchContext::CatalogStats stats = lake->Stats();
+    out += StrFormat("\nstats %d %zu %zu %zu\n", stats.valid,
+                     stats.num_models, stats.ann_live, stats.bm25_live);
+    for (const auto& [field, counts] : stats.field_counts) {
+      for (const auto& [value, n] : counts) {
+        out += StrFormat(" %s=%s:%zu", field.c_str(), value.c_str(), n);
+      }
+    }
+    return out;
+  }
+
+  /// The planner statistics equal a card-by-card recount of the
+  /// searchable models.
+  static void ExpectStatsMatchRecount(ModelLake* lake,
+                                      const std::string& label) {
+    std::map<std::string, std::map<std::string, size_t>> counts;
+    std::vector<std::string> ids = lake->AllModelIds();
+    for (const std::string& id : ids) {
+      metadata::ModelCard card = lake->CardFor(id).MoveValueUnsafe();
+      if (!card.task.empty()) ++counts["task"][card.task];
+      if (!card.creator.empty()) ++counts["creator"][card.creator];
+      if (!card.license.empty()) ++counts["license"][card.license];
+      if (!card.architecture.empty()) {
+        ++counts["architecture"][card.architecture];
+      }
+    }
+    search::SearchContext::CatalogStats stats = lake->Stats();
+    EXPECT_TRUE(stats.valid) << label;
+    EXPECT_EQ(stats.num_models, ids.size()) << label;
+    EXPECT_EQ(stats.field_counts, counts) << label;
+  }
+
+  /// The live lake, a snapshot reopen of a copy of it and a catalog
+  /// rebuild of that copy answer every column query identically, and
+  /// each one's statistics match a recount.
+  void ExpectViewsAgree(ModelLake* lake, const std::string& label) {
+    const std::string live = ColumnAnswers(lake);
+    ExpectStatsMatchRecount(lake, label + " live");
+    const std::string copy = label + "-copy";
+    std::filesystem::copy(lake->options().root, JoinPath(dir_, copy),
+                          std::filesystem::copy_options::recursive);
+    for (bool snapshots : {true, false}) {
+      LakeOptions options = Options(copy);
+      options.load_index_snapshots = snapshots;
+      auto reopened = ModelLake::Open(options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      const std::string view = label + (snapshots ? " reopen" : " rebuild");
+      EXPECT_EQ(ColumnAnswers(reopened.ValueUnsafe().get()), live) << view;
+      ExpectStatsMatchRecount(reopened.ValueUnsafe().get(), view);
+    }
+    ASSERT_TRUE(RemoveAll(JoinPath(dir_, copy)).ok());
+  }
+
+  void Clone(const std::string& from, const std::string& to) {
+    std::filesystem::copy(JoinPath(dir_, from), JoinPath(dir_, to),
+                          std::filesystem::copy_options::recursive);
   }
 
   std::string dir_;
@@ -353,6 +522,192 @@ TEST_F(LakeScaleTest, StreamingGeneratorFeedsTheLake) {
     }
   }
   EXPECT_GT(same_family, 5u);
+}
+
+// The column store mirrors the catalog on every path that maintains it:
+// ingest (cards and artifacts), a stale-snapshot reconcile on open, an
+// injected-fault aborted batch, a card edit that moves dictionary
+// counts, quarantine, and compaction. After each, MLQL over every
+// column answers the same on the live lake, a snapshot reopen and a
+// catalog rebuild.
+TEST_F(LakeScaleTest, ColumnsMatchCatalogOnEveryPath) {
+  int64_t dim = 0;
+  {
+    auto lake = ModelLake::Open(Options("columns-template")).MoveValueUnsafe();
+    dim = lake->EmbeddingDim();
+    ASSERT_TRUE(lake->RegisterDataset("synthetic/news",
+                                      {"n1", "n2", "n3", "n4", "n5"})
+                    .ok());
+    ASSERT_TRUE(lake->RegisterDataset("synthetic/legal",
+                                      {"n1", "n2", "l3", "l4", "l5"})
+                    .ok());
+    ASSERT_TRUE(lake->IngestCards(VariedBatch(dim, 40, 21, "c")).ok());
+    Rng rng(5);
+    std::vector<std::unique_ptr<nn::Model>> models;
+    std::vector<IngestRequest> batch(3);
+    for (int i = 0; i < 3; ++i) {
+      models.push_back(
+          nn::BuildModel(nn::MlpSpec(32, {8}, 8), &rng).MoveValueUnsafe());
+      batch[i].model = models.back().get();
+      batch[i].card.model_id = StrFormat("r%d", i);
+      batch[i].card.name = StrFormat("Real %d", i);
+      batch[i].card.task = "Summarization";
+      batch[i].card.tags = {"legal"};
+      batch[i].card.creator = "DeltaML";
+      batch[i].card.license = "mit";
+      batch[i].card.training_datasets = {"synthetic/legal"};
+    }
+    ASSERT_TRUE(lake->IngestModels(batch).ok());
+    for (int i = 1; i < 3; ++i) {
+      versioning::VersionEdge edge;
+      edge.parent = StrFormat("r%d", i - 1);
+      edge.child = StrFormat("r%d", i);
+      edge.type = versioning::EdgeType::kFinetune;
+      ASSERT_TRUE(lake->RecordEdge(edge).ok());
+    }
+    ASSERT_TRUE(lake->CompactIndices().ok());
+    // Rows past the snapshot: opening a copy reconciles them.
+    ASSERT_TRUE(lake->IngestCards(VariedBatch(dim, 12, 22, "late")).ok());
+  }
+
+  // Mutating-op count of (open, one doomed batch), probed on a clone.
+  uint64_t open_ops = 0, total_ops = 0;
+  {
+    Clone("columns-template", "columns-probe");
+    FaultInjectingFs fs(RealFs(), FaultPlan{});
+    auto lake =
+        ModelLake::Open(Options("columns-probe", &fs)).MoveValueUnsafe();
+    open_ops = fs.mutating_ops();
+    ASSERT_TRUE(lake->IngestCards(VariedBatch(dim, 16, 23, "doomed")).ok());
+    total_ops = fs.mutating_ops();
+  }
+
+  Clone("columns-template", "columns");
+  FaultPlan plan;
+  plan.fail_ops = {open_ops + (total_ops - open_ops) / 2};
+  FaultInjectingFs fs(RealFs(), plan);
+  auto lake = ModelLake::Open(Options("columns", &fs)).MoveValueUnsafe();
+  ExpectViewsAgree(lake.get(), "reconciled");
+
+  ASSERT_FALSE(lake->IngestCards(VariedBatch(dim, 16, 23, "doomed")).ok());
+  EXPECT_EQ(fs.injected_errors(), 1u);
+  ExpectViewsAgree(lake.get(), "aborted");
+
+  // A task no other card holds: one dictionary count moves to a new
+  // value.
+  metadata::ModelCard edited = lake->CardFor("c-001").MoveValueUnsafe();
+  edited.task = "Entity-Tagging";
+  edited.name = "Edited Name";
+  edited.metrics.push_back({"bench-a", "accuracy", 0.125});
+  ASSERT_TRUE(lake->UpdateCard(edited).ok());
+  ExpectViewsAgree(lake.get(), "updated");
+
+  ASSERT_TRUE(lake->QuarantineModel("r1").ok());
+  ExpectViewsAgree(lake.get(), "quarantined");
+
+  ASSERT_TRUE(lake->IngestCards(VariedBatch(dim, 10, 24, "after")).ok());
+  ExpectViewsAgree(lake.get(), "ingested");
+
+  ASSERT_TRUE(lake->CompactIndices().ok());
+  ExpectViewsAgree(lake.get(), "compacted");
+}
+
+// The column sections of the ids sidecar are untrusted input like every
+// other snapshot byte: a section cut short, a dictionary code out of
+// range, a short embedding matrix, or a pre-column sidecar with none of
+// them opens through the rebuild fallback, answering like a clean open.
+TEST_F(LakeScaleTest, MalformedColumnSidecarFallsBackToRebuild) {
+  {
+    auto lake = ModelLake::Open(Options("sidecar-template")).MoveValueUnsafe();
+    const int64_t dim = lake->EmbeddingDim();
+    ASSERT_TRUE(lake->IngestCards(VariedBatch(dim, 30, 31, "c")).ok());
+    ASSERT_TRUE(lake->CompactIndices().ok());
+  }
+  std::string clean;
+  {
+    Clone("sidecar-template", "sidecar-clean");
+    auto lake = ModelLake::Open(Options("sidecar-clean")).MoveValueUnsafe();
+    EXPECT_EQ(lake->IndexStatsJson().GetInt64("generation"), 1);
+    clean = ColumnAnswers(lake.get());
+  }
+
+  static const char* kSections[] = {
+      "meta",         "id_off",       "id_bytes",     "dig_off",
+      "dig_bytes",    "ds_off",       "ds_bytes",     "col_meta",
+      "col_dict_n",   "col_dict_off", "col_dict_str", "col_codes",
+      "col_params",   "col_complete", "col_name_off", "col_name",
+      "col_desc_off", "col_desc",     "col_tag_off",  "col_tags",
+      "col_trn_off",  "col_trn",      "col_met_off",  "col_met_codes",
+      "col_met_vals", "col_matrix"};
+  using Sections = std::map<std::string, std::string>;
+  struct Case {
+    const char* name;
+    void (*edit)(Sections*);
+    int64_t generation;  // 1 = the sidecar loads, 0 = rebuilt
+  };
+  const Case cases[] = {
+      {"unchanged", [](Sections*) {}, 1},
+      {"truncated",
+       [](Sections* s) { (*s)["col_name"].resize((*s)["col_name"].size() - 3); },
+       0},
+      {"code",
+       [](Sections* s) {
+         const uint32_t bad = 0xfffffff0u;
+         (*s)["col_codes"].replace(0, sizeof(bad),
+                                   reinterpret_cast<const char*>(&bad),
+                                   sizeof(bad));
+       },
+       0},
+      {"matrix",
+       [](Sections* s) {
+         (*s)["col_matrix"].resize((*s)["col_matrix"].size() - 4);
+       },
+       0},
+      {"old-format",
+       [](Sections* s) {
+         for (auto it = s->begin(); it != s->end();) {
+           it = it->first.rfind("col_", 0) == 0 ? s->erase(it) : std::next(it);
+         }
+       },
+       0},
+  };
+  for (const Case& c : cases) {
+    const std::string name = std::string("sidecar-") + c.name;
+    Clone("sidecar-template", name);
+    const std::string index_dir = JoinPath(JoinPath(dir_, name), "index");
+    Json manifest =
+        Json::Parse(ReadFile(JoinPath(index_dir, "MANIFEST.json"))
+                        .MoveValueUnsafe())
+            .MoveValueUnsafe();
+    const std::string path = JoinPath(index_dir, manifest.GetString("ids"));
+    Sections sections;
+    uint64_t generation = 0;
+    {
+      auto snap = index::SnapshotReader::Open(RealFs(), path,
+                                              index::SnapshotKind::kLakeIds)
+                      .MoveValueUnsafe();
+      generation = snap.generation();
+      for (const char* section : kSections) {
+        ASSERT_TRUE(snap.HasSection(section)) << section;
+        sections[section] = std::string(snap.Section(section).ValueOrDie());
+      }
+    }
+    c.edit(&sections);
+    index::SnapshotWriter writer(index::SnapshotKind::kLakeIds, generation);
+    for (const char* section : kSections) {
+      if (sections.count(section) > 0) {
+        writer.AddSection(section, std::move(sections[section]));
+      }
+    }
+    ASSERT_TRUE(writer.WriteTo(RealFs(), path).ok());
+
+    auto lake = ModelLake::Open(Options(name));
+    ASSERT_TRUE(lake.ok()) << c.name << ": " << lake.status().ToString();
+    EXPECT_EQ(lake.ValueUnsafe()->IndexStatsJson().GetInt64("generation"),
+              c.generation)
+        << c.name;
+    EXPECT_EQ(ColumnAnswers(lake.ValueUnsafe().get()), clean) << c.name;
+  }
 }
 
 }  // namespace

@@ -16,17 +16,14 @@ class FakeLake : public SearchContext {
  public:
   void AddCard(metadata::ModelCard card, std::vector<float> embedding = {}) {
     if (embedding.empty()) embedding = {1.0f, 0.0f};
+    EXPECT_TRUE(columns_.Append(card, embedding, "").ok());
     embeddings_[card.model_id] = std::move(embedding);
     cards_[card.model_id] = std::move(card);
   }
 
-  std::vector<std::string> AllModelIds() const override {
-    std::vector<std::string> ids;
-    for (const auto& [id, card] : cards_) ids.push_back(id);
-    return ids;
-  }
+  const ModelColumns& Columns() const override { return columns_; }
 
-  Result<metadata::ModelCard> CardFor(const std::string& id) const override {
+  Result<metadata::ModelCard> CardFor(const std::string& id) const {
     auto it = cards_.find(id);
     if (it == cards_.end()) return Status::NotFound(id);
     return it->second;
@@ -88,10 +85,11 @@ class FakeLake : public SearchContext {
     return out;
   }
 
-  bool IsDescendantOf(const std::string& id,
-                      const std::string& ancestor) const override {
+  std::vector<std::string> Descendants(
+      const std::string& ancestor) const override {
     auto it = descendants_.find(ancestor);
-    return it != descendants_.end() && it->second.count(id) > 0;
+    if (it == descendants_.end()) return {};
+    return {it->second.begin(), it->second.end()};
   }
 
   void AddDescendant(const std::string& ancestor, const std::string& id) {
@@ -101,6 +99,7 @@ class FakeLake : public SearchContext {
   int ann_calls() const { return ann_calls_; }
 
  private:
+  ModelColumns columns_{2};
   std::map<std::string, metadata::ModelCard> cards_;
   std::map<std::string, std::vector<float>> embeddings_;
   std::map<std::string, std::set<std::string>> descendants_;

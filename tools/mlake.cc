@@ -5,9 +5,9 @@
 // --threads N sizes the lake's shared thread pool (0 or 1 = serial,
 // the default; N>1 parallelizes ingest, index rebuild, fsck and
 // heritage recovery — results are identical at any thread count).
-// --cache-mb N budgets the storage caches: N MB for decoded artifacts
-// plus N/8 MB for embeddings (0 disables both; default 256). Caches
-// sit on the read path only, so results are identical at any budget.
+// --cache-mb N budgets the decoded-artifact cache at N MB (0 disables
+// it; default 256). The cache sits on the read path only, so results
+// are identical at any budget.
 //
 // Commands:
 //   init                         create an empty lake
@@ -279,7 +279,6 @@ Result<std::unique_ptr<core::ModelLake>> OpenLake(const std::string& root,
   if (threads > 1) options.exec = ExecutionContext::WithThreads(threads);
   if (cache_mb >= 0) {
     options.artifact_cache_bytes = static_cast<size_t>(cache_mb) << 20;
-    options.embedding_cache_bytes = (static_cast<size_t>(cache_mb) << 20) / 8;
   }
   return core::ModelLake::Open(std::move(options));
 }
