@@ -1,14 +1,15 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <deque>
 #include <map>
-#include <set>
 
 #include "common/hash.h"
 #include "common/sharding.h"
 #include "common/string_util.h"
 #include "search/executor.h"
 #include "search/parser.h"
+#include "versioning/model_graph.h"
 
 namespace mlake::cluster {
 
@@ -708,82 +709,230 @@ HttpResponse Router::HandleBroadcastGet(const std::string& path,
   return result.MoveValueUnsafe();
 }
 
+namespace {
+
+/// The routed export: the buffered shard exports, indexed by one
+/// validation pass, and the cursor of the streamer that merges them.
+/// Every string_view points into a leg body (or `escaped_ids`), which
+/// this object owns and never moves once indexed, so the merge copies
+/// record bytes straight out of the shard responses.
+struct ExportMerge {
+  struct Model {
+    std::string_view id;    // decoded
+    std::string_view line;  // the record, without its '\n'
+  };
+  struct Leg {
+    std::vector<Model> models;  // ids strictly increasing
+    size_t next = 0;            // streamer cursor
+  };
+  std::vector<HttpResponse> responses;  // the shard answers, in slot order
+  std::deque<std::string> escaped_ids;  // decoded ids that held escapes
+  std::vector<Leg> legs;                // one per response
+  std::vector<std::string_view> tail;   // edge lines, then dataset lines
+  std::string header;                   // merged header record + '\n'
+  std::string footer;                   // rebuilt footer record + '\n'
+  // Streamer cursor beyond the legs'.
+  enum class Stage { kHeader, kModels, kTail, kDone };
+  Stage stage = Stage::kHeader;
+  size_t next_tail = 0;
+};
+
+/// Streamer chunk size, as the shards' export streamer packs them.
+constexpr size_t kExportChunkBytes = size_t{64} << 10;
+
+Status MalformedExportRecord(std::string_view line) {
+  return Status::Internal("malformed export record from a shard: " +
+                          std::string(line.substr(0, 120)));
+}
+
+/// The kind an export record opens with (`{"kind":"<kind>"`, the
+/// field order every shard writes), or empty when it has none.
+std::string_view RecordKind(std::string_view line) {
+  constexpr std::string_view kPrefix = "{\"kind\":\"";
+  if (!StartsWith(line, kPrefix)) return {};
+  size_t end = line.find('"', kPrefix.size());
+  if (end == std::string_view::npos) return {};
+  return line.substr(kPrefix.size(), end - kPrefix.size());
+}
+
+/// A model record's id, read from its `{"kind":"model","id":<string>`
+/// prefix without parsing the rest. An id holding JSON escapes (rare)
+/// is decoded into `escaped`, so ids compare as the lake sorts them.
+Result<std::string_view> ModelRecordId(std::string_view line,
+                                       std::deque<std::string>* escaped) {
+  constexpr std::string_view kPrefix = "{\"kind\":\"model\",\"id\":\"";
+  if (!StartsWith(line, kPrefix) || line.back() != '}') {
+    return MalformedExportRecord(line);
+  }
+  size_t end = kPrefix.size();
+  bool has_escape = false;
+  for (; end < line.size() && line[end] != '"'; ++end) {
+    if (line[end] == '\\') {
+      has_escape = true;
+      ++end;
+    }
+  }
+  if (end >= line.size()) return MalformedExportRecord(line);
+  if (!has_escape) return line.substr(kPrefix.size(), end - kPrefix.size());
+  std::string_view literal =
+      line.substr(kPrefix.size() - 1, end - kPrefix.size() + 2);
+  auto decoded = Json::Parse(literal);
+  if (!decoded.ok() || !decoded.ValueUnsafe().is_string()) {
+    return MalformedExportRecord(line);
+  }
+  escaped->push_back(decoded.ValueUnsafe().AsString());
+  return std::string_view(escaped->back());
+}
+
+/// The validation pass over the buffered legs: indexes every leg's
+/// model records (ids strictly increasing within a leg), collects the
+/// edge and dataset records deduplicated on their full line and in a
+/// single lake's order (edges by EdgeKey, datasets by name), and builds
+/// the merged header and footer. Any framing defect is an error, found
+/// before the first byte is sent.
+Status IndexExport(ExportMerge* merge) {
+  std::vector<std::pair<std::string, std::string_view>> edges;     // key
+  std::vector<std::pair<std::string, std::string_view>> datasets;  // name
+  Json header;
+  size_t num_models = 0;
+  merge->legs.resize(merge->responses.size());
+  for (size_t i = 0; i < merge->responses.size(); ++i) {
+    std::vector<ExportMerge::Model>& models = merge->legs[i].models;
+    std::string_view text = merge->responses[i].body;
+    while (!text.empty()) {
+      size_t eol = text.find('\n');
+      std::string_view line = text.substr(0, eol);
+      text.remove_prefix(eol == std::string_view::npos ? text.size()
+                                                       : eol + 1);
+      if (line.empty()) continue;
+      std::string_view kind = RecordKind(line);
+      if (kind == "model") {
+        MLAKE_ASSIGN_OR_RETURN(std::string_view id,
+                               ModelRecordId(line, &merge->escaped_ids));
+        if (!models.empty() && !(models.back().id < id)) {
+          return Status::Internal("shard export models out of id order at " +
+                                  std::string(id));
+        }
+        models.push_back({id, line});
+        continue;
+      }
+      if (kind == "footer") continue;  // rebuilt below
+      if (kind != "edge" && kind != "dataset" && kind != "header") {
+        return MalformedExportRecord(line);
+      }
+      // Edges, datasets and headers are few: a DOM parse is cheap.
+      auto record = Json::Parse(line);
+      if (!record.ok() || !record.ValueUnsafe().is_object()) {
+        return MalformedExportRecord(line);
+      }
+      if (kind == "edge") {
+        auto edge = versioning::EdgeFromJson(record.ValueUnsafe());
+        if (!edge.ok()) return MalformedExportRecord(line);
+        edges.emplace_back(versioning::EdgeKey(edge.ValueUnsafe()), line);
+      } else if (kind == "dataset") {
+        const Json* name = record.ValueUnsafe().Find("name");
+        if (name == nullptr || !name->is_string()) {
+          return MalformedExportRecord(line);
+        }
+        datasets.emplace_back(name->AsString(), line);
+      } else if (header.is_null()) {
+        header = record.MoveValueUnsafe();
+      }
+    }
+    num_models += models.size();
+  }
+  if (header.is_null()) {
+    return Status::Internal("no export header from any shard");
+  }
+  // A cross-shard lineage edge is recorded on both endpoints' shards,
+  // and datasets are registered on every shard: equal lines collapse.
+  for (auto* records : {&edges, &datasets}) {
+    std::sort(records->begin(), records->end());
+    records->erase(std::unique(records->begin(), records->end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.second == b.second;
+                               }),
+                   records->end());
+  }
+  for (const auto& [key, line] : edges) merge->tail.push_back(line);
+  for (const auto& [name, line] : datasets) merge->tail.push_back(line);
+
+  Json counts = Json::MakeObject();
+  counts.Set("models", num_models);
+  counts.Set("edges", edges.size());
+  counts.Set("datasets", datasets.size());
+  header.Set("counts", std::move(counts));
+  merge->header = header.Dump() + "\n";
+  Json footer = Json::MakeObject();
+  footer.Set("kind", std::string("footer"));
+  footer.Set("records", num_models + merge->tail.size());
+  merge->footer = footer.Dump() + "\n";
+  return Status::OK();
+}
+
+/// Packs the next ~kExportChunkBytes of the merged export into
+/// `*chunk`: the header, the legs' model records k-way merged by id
+/// (ties go to the lower leg), the edge and dataset records, the
+/// footer. False once everything was sent.
+bool NextExportChunk(ExportMerge* merge, std::string* chunk) {
+  using Stage = ExportMerge::Stage;
+  chunk->clear();
+  if (merge->stage == Stage::kHeader) {
+    chunk->append(merge->header);
+    merge->stage = Stage::kModels;
+  }
+  while (merge->stage == Stage::kModels && chunk->size() < kExportChunkBytes) {
+    ExportMerge::Leg* best = nullptr;
+    for (ExportMerge::Leg& leg : merge->legs) {
+      if (leg.next == leg.models.size()) continue;
+      if (best == nullptr ||
+          leg.models[leg.next].id < best->models[best->next].id) {
+        best = &leg;
+      }
+    }
+    if (best == nullptr) {
+      merge->stage = Stage::kTail;
+      break;
+    }
+    chunk->append(best->models[best->next++].line);
+    chunk->push_back('\n');
+  }
+  while (merge->stage == Stage::kTail && chunk->size() < kExportChunkBytes) {
+    if (merge->next_tail == merge->tail.size()) {
+      chunk->append(merge->footer);
+      merge->stage = Stage::kDone;
+      break;
+    }
+    chunk->append(merge->tail[merge->next_tail++]);
+    chunk->push_back('\n');
+  }
+  return !chunk->empty();
+}
+
+}  // namespace
+
 HttpResponse Router::HandleExport(Clock::time_point deadline) {
   auto legs = ScatterAll("GET", "/v1/export", "", deadline);
   if (!legs.ok()) return ErrorResponse(legs.status());
   HttpResponse relay;
   if (!AllOk(legs.ValueUnsafe(), &relay)) return relay;
 
-  // Merge the per-shard NDJSON dumps into one lake-wide dump. Records
-  // keep their shard-emitted bytes verbatim (the determinism contract
-  // lives in the record bytes, not the framing): models re-sort by id
-  // globally, edges and datasets deduplicate on their full record line
-  // (cross-shard lineage edges are recorded on both endpoints' shards)
-  // and sort, headers/footers are rebuilt from the merged counts.
-  std::vector<std::pair<std::string, std::string>> models;  // id -> line
-  std::set<std::string> edges;
-  std::set<std::string> datasets;
-  std::string header_line;
-  for (const HttpResponse& leg : legs.ValueUnsafe()) {
-    size_t start = 0;
-    const std::string& text = leg.body;
-    while (start < text.size()) {
-      size_t eol = text.find('\n', start);
-      if (eol == std::string::npos) eol = text.size();
-      std::string line = text.substr(start, eol - start);
-      start = eol + 1;
-      if (line.empty()) continue;
-      auto record = Json::Parse(line);
-      if (!record.ok() || !record.ValueUnsafe().is_object()) {
-        return ErrorResponse(Status::Internal(
-            "malformed export record from a shard: " + line.substr(0, 120)));
-      }
-      const Json& rec = record.ValueUnsafe();
-      std::string kind = rec.GetString("kind");
-      if (kind == "header") {
-        if (header_line.empty()) header_line = line;
-      } else if (kind == "model") {
-        models.emplace_back(rec.GetString("id"), line);
-      } else if (kind == "edge") {
-        edges.insert(line);
-      } else if (kind == "dataset") {
-        datasets.insert(line);
-      }  // footer: rebuilt below
-    }
+  // Merge the per-shard NDJSON dumps into one lake-wide dump, equal to
+  // the single lake's byte for byte. Records keep their shard-emitted
+  // bytes verbatim (the determinism contract lives in the record bytes,
+  // not the framing). The legs stay buffered: the merged header's edge
+  // and dataset counts depend on every leg's tail, which follows all of
+  // its models.
+  auto merge = std::make_shared<ExportMerge>();
+  merge->responses = legs.MoveValueUnsafe();
+  if (Status indexed = IndexExport(merge.get()); !indexed.ok()) {
+    return ErrorResponse(indexed);
   }
-  std::sort(models.begin(), models.end());
-
-  auto header = Json::Parse(header_line);
-  if (!header.ok() || !header.ValueUnsafe().is_object()) {
-    return ErrorResponse(Status::Internal("no export header from any shard"));
-  }
-  Json counts = Json::MakeObject();
-  counts.Set("models", models.size());
-  counts.Set("edges", edges.size());
-  counts.Set("datasets", datasets.size());
-  header.ValueUnsafe().Set("counts", std::move(counts));
-
   HttpResponse out;
   out.content_type = "application/x-ndjson";
-  out.body = header.ValueUnsafe().Dump();
-  out.body.push_back('\n');
-  for (const auto& [id, line] : models) {
-    out.body.append(line);
-    out.body.push_back('\n');
-  }
-  for (const std::string& line : edges) {
-    out.body.append(line);
-    out.body.push_back('\n');
-  }
-  for (const std::string& line : datasets) {
-    out.body.append(line);
-    out.body.push_back('\n');
-  }
-  Json footer = Json::MakeObject();
-  footer.Set("kind", std::string("footer"));
-  footer.Set("records", models.size() + edges.size() + datasets.size());
-  out.body.append(footer.Dump());
-  out.body.push_back('\n');
+  out.streamer = [merge](std::string* chunk) {
+    return NextExportChunk(merge.get(), chunk);
+  };
   return out;
 }
 

@@ -214,10 +214,13 @@ class Router {
   server::HttpResponse HandleModelList(Clock::time_point deadline);
   server::HttpResponse HandleBroadcastGet(const std::string& path,
                                           Clock::time_point deadline);
-  /// Merged /v1/export: scatters the per-shard NDJSON dumps and
-  /// re-emits one lake-wide dump (models sorted by id, edges/datasets
-  /// deduplicated, summed header counts). Buffered at the router — the
-  /// O(1)-memory path is the per-shard endpoint (DESIGN.md §15).
+  /// Merged /v1/export: scatters the per-shard NDJSON dumps, validates
+  /// them in one pass without a JSON parse of the model records, and
+  /// streams one lake-wide dump equal to a single lake's: model records
+  /// k-way merged by id, edges and datasets deduplicated in the lake's
+  /// order, header counts and footer rebuilt. The legs stay buffered at
+  /// the router — the O(1)-memory path is the per-shard endpoint
+  /// (DESIGN.md §15).
   server::HttpResponse HandleExport(Clock::time_point deadline);
   server::HttpResponse HandleSearch(server::RequestContext& ctx);
   server::HttpResponse HandleIngest(const server::HttpRequest& request,

@@ -19,6 +19,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Largest response body a client accepts (a whole-lake export fits).
+constexpr size_t kMaxResponseBytes = size_t{256} << 20;
+
 }  // namespace
 
 HttpClient::HttpClient(std::string host, int port)
@@ -96,20 +99,12 @@ Result<HttpResponse> HttpClient::RoundTrip(
     bool may_retry = reused_ && attempt == 0 && idempotent;
 
     bool sent = WriteAll(fd_, wire);
-    std::string buf;
-    HttpResponse response;
+    // Each read is fed to one reader that keeps its place, so the head
+    // is parsed once and every chunk of a streamed body decoded once.
+    HttpResponseReader reader(kMaxResponseBytes);
     bool got_bytes = false;
     bool dead = !sent;
     while (!dead) {
-      auto parsed = ParseHttpResponse(buf, 256u << 20, &response);
-      if (!parsed.ok()) return parsed.status();
-      if (parsed.ValueUnsafe() > 0) {
-        reused_ = true;
-        if (EqualsIgnoreCase(response.Header("connection"), "close")) {
-          Close();
-        }
-        return response;
-      }
       auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                          Clock::now() - start)
                          .count();
@@ -138,7 +133,19 @@ Result<HttpResponse> HttpClient::RoundTrip(
         break;
       }
       got_bytes = true;
-      buf.append(chunk, static_cast<size_t>(n));
+      auto done = reader.Feed(std::string_view(chunk, static_cast<size_t>(n)));
+      if (!done.ok()) {
+        Close();  // the framing is lost: the connection cannot be reused
+        return done.status();
+      }
+      if (done.ValueUnsafe()) {
+        reused_ = true;
+        if (EqualsIgnoreCase(reader.response().Header("connection"),
+                             "close")) {
+          Close();
+        }
+        return std::move(reader.response());
+      }
     }
     Close();
     if (got_bytes) {

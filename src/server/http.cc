@@ -1,11 +1,14 @@
 #include "server/http.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cctype>
 #include <cstdlib>
+#include <optional>
 
 #include "common/string_util.h"
 
@@ -22,78 +25,15 @@ std::string_view FindHeader(
   return {};
 }
 
-/// Decodes a chunked-transfer body starting at `pos` (just past the
-/// header block). Returns consumed bytes through the final CRLF, 0 for
-/// incomplete, error for malformed framing or an oversized body.
-Result<size_t> ParseChunkedBody(std::string_view buf, size_t pos,
-                                size_t max_body_bytes, std::string* body) {
-  body->clear();
-  while (true) {
-    size_t eol = buf.find("\r\n", pos);
-    if (eol == std::string_view::npos) return size_t{0};  // need more
-    std::string_view size_line = buf.substr(pos, eol - pos);
-    if (size_t semi = size_line.find(';'); semi != std::string_view::npos) {
-      size_line = size_line.substr(0, semi);  // drop chunk extensions
-    }
-    size_line = Trim(size_line);
-    if (size_line.empty() || size_line.size() > 16) {
-      return Status::InvalidArgument("malformed chunk size");
-    }
-    uint64_t chunk_size = 0;
-    for (char c : size_line) {
-      if (!std::isxdigit(static_cast<unsigned char>(c))) {
-        return Status::InvalidArgument("malformed chunk size");
-      }
-      int digit = std::isdigit(static_cast<unsigned char>(c))
-                      ? c - '0'
-                      : std::tolower(static_cast<unsigned char>(c)) - 'a' + 10;
-      chunk_size = chunk_size * 16 + static_cast<uint64_t>(digit);
-    }
-    pos = eol + 2;
-    if (chunk_size == 0) break;
-    if (body->size() + chunk_size > max_body_bytes) {
-      return Status::ResourceExhausted("chunked body exceeds " +
-                                       std::to_string(max_body_bytes) +
-                                       " bytes");
-    }
-    if (buf.size() - pos < chunk_size + 2) return size_t{0};  // need more
-    body->append(buf.substr(pos, chunk_size));
-    if (buf.substr(pos + chunk_size, 2) != "\r\n") {
-      return Status::InvalidArgument("chunk data not CRLF-terminated");
-    }
-    pos += chunk_size + 2;
-  }
-  // Trailer section: lines until the blank line. mlaked sends none,
-  // but skipping them keeps the parser conforming.
-  while (true) {
-    size_t eol = buf.find("\r\n", pos);
-    if (eol == std::string_view::npos) return size_t{0};  // need more
-    bool blank = eol == pos;
-    pos = eol + 2;
-    if (blank) break;
-  }
-  return pos;
-}
-
-/// Parses the shared "headers then Content-Length body" tail of both
-/// requests and responses. `head_end` points just past "\r\n\r\n".
-/// Returns consumed bytes, 0 for incomplete, error for malformed.
-/// `allow_chunked` admits a chunked body (responses only: the server
-/// streams exports but never accepts a streamed request).
-Result<size_t> ParseHeadersAndBody(
-    std::string_view buf, size_t header_start, size_t head_end,
-    size_t max_body_bytes,
-    std::vector<std::pair<std::string, std::string>>* headers,
-    std::string* body, bool allow_chunked = false) {
+/// Parses the header lines of a head from `pos` (just past the start
+/// line) to the blank line that ends at `head_end`.
+Status ParseHeaderLines(
+    std::string_view buf, size_t pos, size_t head_end,
+    std::vector<std::pair<std::string, std::string>>* headers) {
   headers->clear();
-  size_t pos = header_start;
   while (pos < head_end) {
     size_t eol = buf.find("\r\n", pos);
-    if (eol == std::string_view::npos || eol > head_end) break;
-    if (eol == pos) {
-      pos += 2;
-      break;  // blank line: end of headers
-    }
+    if (eol == std::string_view::npos || eol > head_end || eol == pos) break;
     std::string_view line = buf.substr(pos, eol - pos);
     size_t colon = line.find(':');
     if (colon == std::string_view::npos) {
@@ -103,15 +43,16 @@ Result<size_t> ParseHeadersAndBody(
                           std::string(Trim(line.substr(colon + 1))));
     pos = eol + 2;
   }
-  std::string_view te = FindHeader(*headers, "transfer-encoding");
-  if (!te.empty()) {
-    if (!allow_chunked || !EqualsIgnoreCase(te, "chunked")) {
-      return Status::Unimplemented("chunked transfer encoding not supported");
-    }
-    return ParseChunkedBody(buf, pos, max_body_bytes, body);
-  }
+  return Status::OK();
+}
+
+/// The Content-Length header's value, 0 when absent. `what` names the
+/// message in the over-budget error.
+Result<size_t> ContentLength(
+    const std::vector<std::pair<std::string, std::string>>& headers,
+    size_t max_body_bytes, std::string_view what) {
   size_t content_length = 0;
-  std::string_view cl = FindHeader(*headers, "content-length");
+  std::string_view cl = FindHeader(headers, "content-length");
   if (!cl.empty()) {
     std::string digits(cl);  // `end` points into it: keep it alive
     char* end = nullptr;
@@ -122,13 +63,33 @@ Result<size_t> ParseHeadersAndBody(
     content_length = static_cast<size_t>(v);
   }
   if (content_length > max_body_bytes) {
-    return Status::ResourceExhausted("request body exceeds " +
+    return Status::ResourceExhausted(std::string(what) + " body exceeds " +
                                      std::to_string(max_body_bytes) +
                                      " bytes");
   }
-  if (buf.size() - pos < content_length) return size_t{0};  // need more
-  body->assign(buf.substr(pos, content_length));
-  return pos + content_length;
+  return content_length;
+}
+
+/// The size of a chunk from its size line (extensions dropped).
+Result<uint64_t> ParseChunkSize(std::string_view size_line) {
+  if (size_t semi = size_line.find(';'); semi != std::string_view::npos) {
+    size_line = size_line.substr(0, semi);  // drop chunk extensions
+  }
+  size_line = Trim(size_line);
+  if (size_line.empty() || size_line.size() > 16) {
+    return Status::InvalidArgument("malformed chunk size");
+  }
+  uint64_t chunk_size = 0;
+  for (char c : size_line) {
+    if (!std::isxdigit(static_cast<unsigned char>(c))) {
+      return Status::InvalidArgument("malformed chunk size");
+    }
+    int digit = std::isdigit(static_cast<unsigned char>(c))
+                    ? c - '0'
+                    : std::tolower(static_cast<unsigned char>(c)) - 'a' + 10;
+    chunk_size = chunk_size * 16 + static_cast<uint64_t>(digit);
+  }
+  return chunk_size;
 }
 
 }  // namespace
@@ -218,22 +179,22 @@ Result<size_t> ParseHttpRequest(std::string_view buf, size_t max_body_bytes,
       }
     }
   }
-  return ParseHeadersAndBody(buf, line_end + 2, head_end, max_body_bytes,
-                             &out->headers, &out->body);
+  MLAKE_RETURN_NOT_OK(
+      ParseHeaderLines(buf, line_end + 2, head_end, &out->headers));
+  if (!out->Header("transfer-encoding").empty()) {
+    return Status::Unimplemented("chunked transfer encoding not supported");
+  }
+  MLAKE_ASSIGN_OR_RETURN(
+      size_t content_length,
+      ContentLength(out->headers, max_body_bytes, "request"));
+  if (buf.size() - head_end < content_length) return size_t{0};  // need more
+  out->body.assign(buf.substr(head_end, content_length));
+  return head_end + content_length;
 }
 
-Result<size_t> ParseHttpResponse(std::string_view buf, size_t max_body_bytes,
-                                 HttpResponse* out) {
-  size_t head_end = buf.find("\r\n\r\n");
-  if (head_end == std::string_view::npos) {
-    if (buf.size() > kMaxHeaderBytes) {
-      return Status::InvalidArgument("response head exceeds 64 KiB");
-    }
-    return size_t{0};
-  }
-  head_end += 4;
-  size_t line_end = buf.find("\r\n");
-  std::string_view line = buf.substr(0, line_end);
+Status HttpResponseReader::ParseHead(std::string_view head) {
+  size_t line_end = head.find("\r\n");
+  std::string_view line = head.substr(0, line_end);
   if (!StartsWith(line, "HTTP/1.")) {
     return Status::InvalidArgument("malformed status line");
   }
@@ -241,28 +202,156 @@ Result<size_t> ParseHttpResponse(std::string_view buf, size_t max_body_bytes,
   if (sp == std::string_view::npos || line.size() < sp + 4) {
     return Status::InvalidArgument("malformed status line");
   }
-  out->status = 0;
+  response_.status = 0;
   for (size_t i = sp + 1; i < sp + 4; ++i) {
     if (!std::isdigit(static_cast<unsigned char>(line[i]))) {
       return Status::InvalidArgument("malformed status code");
     }
-    out->status = out->status * 10 + (line[i] - '0');
+    response_.status = response_.status * 10 + (line[i] - '0');
+  }
+  MLAKE_RETURN_NOT_OK(
+      ParseHeaderLines(head, line_end + 2, head.size(), &response_.headers));
+  response_.content_type = std::string(response_.Header("content-type"));
+  std::string_view te = response_.Header("transfer-encoding");
+  if (!te.empty()) {
+    if (!EqualsIgnoreCase(te, "chunked")) {
+      return Status::Unimplemented("chunked transfer encoding not supported");
+    }
+    state_ = State::kChunkSize;
+    return Status::OK();
   }
   MLAKE_ASSIGN_OR_RETURN(
-      size_t consumed,
-      ParseHeadersAndBody(buf, line_end + 2, head_end, max_body_bytes,
-                          &out->headers, &out->body,
-                          /*allow_chunked=*/true));
-  if (consumed > 0) {
-    out->content_type = std::string(FindHeader(out->headers, "content-type"));
-  }
-  return consumed;
+      remaining_, ContentLength(response_.headers, max_body_bytes_, "response"));
+  response_.body.reserve(remaining_);
+  state_ = State::kBody;
+  return Status::OK();
 }
 
-std::string SerializeHttpResponse(const HttpResponse& response,
-                                  bool keep_alive) {
+Result<bool> HttpResponseReader::Advance(std::string_view in, size_t* pos) {
+  // Appends up to `remaining_` bytes of `in` to the body.
+  auto take_body = [&] {
+    size_t n = std::min(remaining_, in.size() - *pos);
+    response_.body.append(in.substr(*pos, n));
+    *pos += n;
+    remaining_ -= n;
+    return remaining_ == 0;
+  };
+  // The next complete line from `*pos` (CRLF excluded), or nullopt when
+  // it has not fully arrived; an unfinished line longer than the head
+  // limit is malformed rather than buffered without bound.
+  auto next_line = [&](const char* what)
+      -> Result<std::optional<std::string_view>> {
+    size_t eol = in.find("\r\n", *pos);
+    if (eol == std::string_view::npos) {
+      if (in.size() - *pos > kMaxHeaderBytes) {
+        return Status::InvalidArgument(std::string(what) +
+                                       " exceeds 64 KiB");
+      }
+      return std::optional<std::string_view>();
+    }
+    std::string_view line = in.substr(*pos, eol - *pos);
+    *pos = eol + 2;
+    return std::optional<std::string_view>(line);
+  };
+
+  for (;;) {
+    switch (state_) {
+      case State::kHead: {
+        // The head is never consumed piecemeal: `in` starts at the
+        // response's first byte until the blank line arrives.
+        size_t end = in.find("\r\n\r\n", head_scan_);
+        if (end == std::string_view::npos) {
+          if (in.size() > kMaxHeaderBytes) {
+            return Status::InvalidArgument("response head exceeds 64 KiB");
+          }
+          head_scan_ = in.size() < 3 ? 0 : in.size() - 3;
+          return false;
+        }
+        MLAKE_RETURN_NOT_OK(ParseHead(in.substr(0, end + 4)));
+        *pos = end + 4;
+        break;
+      }
+      case State::kBody:
+        if (!take_body()) return false;
+        state_ = State::kDone;
+        break;
+      case State::kChunkSize: {
+        MLAKE_ASSIGN_OR_RETURN(auto line, next_line("chunk size line"));
+        if (!line) return false;
+        MLAKE_ASSIGN_OR_RETURN(uint64_t size, ParseChunkSize(*line));
+        if (size == 0) {
+          state_ = State::kTrailer;
+          break;
+        }
+        if (size > max_body_bytes_ - response_.body.size()) {
+          return Status::ResourceExhausted("chunked body exceeds " +
+                                           std::to_string(max_body_bytes_) +
+                                           " bytes");
+        }
+        remaining_ = static_cast<size_t>(size);
+        state_ = State::kChunkData;
+        break;
+      }
+      case State::kChunkData:
+        if (!take_body()) return false;
+        state_ = State::kChunkEnd;
+        break;
+      case State::kChunkEnd:
+        if (in.size() - *pos < 2) return false;
+        if (in.substr(*pos, 2) != "\r\n") {
+          return Status::InvalidArgument("chunk data not CRLF-terminated");
+        }
+        *pos += 2;
+        state_ = State::kChunkSize;
+        break;
+      case State::kTrailer: {
+        // Trailer lines until the blank line. mlaked sends none, but
+        // skipping them keeps the reader conforming.
+        MLAKE_ASSIGN_OR_RETURN(auto line, next_line("trailer line"));
+        if (!line) return false;
+        if (line->empty()) state_ = State::kDone;
+        break;
+      }
+      case State::kDone:
+        return true;
+    }
+  }
+}
+
+Result<bool> HttpResponseReader::Feed(std::string_view bytes) {
+  if (state_ == State::kDone) return true;
+  // Work straight from `bytes` when nothing is pending; otherwise the
+  // pending unfinished line (or head) continues into them.
+  std::string_view in = bytes;
+  if (!pending_.empty()) {
+    pending_.append(bytes);
+    in = pending_;
+  }
+  size_t pos = 0;
+  MLAKE_ASSIGN_OR_RETURN(bool done, Advance(in, &pos));
+  consumed_ += pos;
+  if (done) {
+    pending_.clear();
+  } else if (pending_.empty()) {
+    pending_.assign(in.substr(pos));
+  } else {
+    pending_.erase(0, pos);
+  }
+  return done;
+}
+
+Result<size_t> ParseHttpResponse(std::string_view buf, size_t max_body_bytes,
+                                 HttpResponse* out) {
+  HttpResponseReader reader(max_body_bytes);
+  MLAKE_ASSIGN_OR_RETURN(bool done, reader.Feed(buf));
+  if (!done) return size_t{0};
+  *out = std::move(reader.response());
+  return reader.consumed();
+}
+
+std::string SerializeHttpResponseHead(const HttpResponse& response,
+                                      bool keep_alive) {
   std::string out;
-  out.reserve(response.body.size() + 256);
   out += "HTTP/1.1 " + std::to_string(response.status) + " " +
          std::string(HttpStatusText(response.status)) + "\r\n";
   if (!response.content_type.empty()) {
@@ -278,33 +367,43 @@ std::string SerializeHttpResponse(const HttpResponse& response,
     out += k + ": " + v + "\r\n";
   }
   out += "\r\n";
+  return out;
+}
+
+std::string SerializeHttpResponse(const HttpResponse& response,
+                                  bool keep_alive) {
+  std::string out = SerializeHttpResponseHead(response, keep_alive);
   if (!response.is_streaming()) out += response.body;
   return out;
 }
 
-std::string SerializeChunk(std::string_view data) {
-  std::string out;
-  out.reserve(data.size() + 20);
-  out += StrFormat("%zx", data.size());
-  out += "\r\n";
-  out += data;
-  out += "\r\n";
-  return out;
-}
+std::string ChunkHead(size_t size) { return StrFormat("%zx\r\n", size); }
 
 std::string_view FinalChunk() { return "0\r\n\r\n"; }
 
-bool WriteAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+bool WriteAll(int fd, std::string_view first, std::string_view second) {
+  iovec iov[2] = {{const_cast<char*>(first.data()), first.size()},
+                  {const_cast<char*>(second.data()), second.size()}};
+  size_t at = 0;  // first iovec with bytes left
+  for (;;) {
+    while (at < 2 && iov[at].iov_len == 0) ++at;
+    if (at == 2) return true;
+    msghdr msg{};
+    msg.msg_iov = iov + at;
+    msg.msg_iovlen = 2 - at;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    off += static_cast<size_t>(n);
+    // Partial send: skip what went out, possibly into the second part.
+    size_t sent = static_cast<size_t>(n);
+    for (; at < 2 && sent >= iov[at].iov_len; ++at) sent -= iov[at].iov_len;
+    if (at < 2) {
+      iov[at].iov_base = static_cast<char*>(iov[at].iov_base) + sent;
+      iov[at].iov_len -= sent;
+    }
   }
-  return true;
 }
 
 std::string SerializeHttpRequest(

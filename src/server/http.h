@@ -77,31 +77,90 @@ struct HttpResponse {
 Result<size_t> ParseHttpRequest(std::string_view buf, size_t max_body_bytes,
                                 HttpRequest* out);
 
-/// Incremental response parser with the same 0 = "need more" contract.
-/// Unlike requests, responses may arrive chunked (the server's
-/// streamed export); the decoded body lands in `out->body` like any
-/// other, still bounded by `max_body_bytes`.
+/// Incremental response reader: the client feeds it each socket read
+/// and it keeps its state across reads. The head is parsed once; a
+/// Content-Length body is appended as it arrives; a chunked body (the
+/// server's streamed export) is decoded chunk by chunk, each chunk
+/// exactly once, resuming where the last scan stopped. Only an
+/// unfinished line — a partial head, chunk-size line or trailer line,
+/// each bounded by kMaxHeaderBytes — is buffered, so a drain holds the
+/// decoded body once and costs time linear in its bytes. The body is
+/// bounded by `max_body_bytes` either way.
+class HttpResponseReader {
+ public:
+  explicit HttpResponseReader(size_t max_body_bytes)
+      : max_body_bytes_(max_body_bytes) {}
+
+  /// Consumes the next `bytes` of the stream. True once the response is
+  /// complete (bytes past its end are ignored), false when more bytes
+  /// are needed, and an error on malformed framing (InvalidArgument), a
+  /// body above the budget (ResourceExhausted) or a Transfer-Encoding
+  /// other than chunked (Unimplemented). A reader that returned an error
+  /// must not be fed again.
+  Result<bool> Feed(std::string_view bytes);
+
+  /// The response; complete once Feed returned true.
+  HttpResponse& response() { return response_; }
+
+  /// Stream bytes the complete response spanned, head through the final
+  /// CRLF.
+  size_t consumed() const { return consumed_; }
+
+ private:
+  enum class State {
+    kHead, kBody, kChunkSize, kChunkData, kChunkEnd, kTrailer, kDone
+  };
+
+  /// Runs the state machine over `in` from `*pos`, advancing `*pos`
+  /// past every byte it used. True when the response is complete.
+  Result<bool> Advance(std::string_view in, size_t* pos);
+  /// Status line and headers; picks the body state.
+  Status ParseHead(std::string_view head);
+
+  size_t max_body_bytes_;
+  HttpResponse response_;
+  State state_ = State::kHead;
+  std::string pending_;   // unfinished bytes carried to the next Feed
+  size_t head_scan_ = 0;  // where the search for the head's end resumes
+  size_t remaining_ = 0;  // bytes left in the body or the current chunk
+  size_t consumed_ = 0;
+};
+
+/// One-call form of HttpResponseReader with ParseHttpRequest's contract:
+/// bytes of `buf` consumed when it holds a complete response (parsed
+/// into `*out`), 0 when more bytes are needed, an error on malformed
+/// input. Each call decodes `buf` from its start, so a caller reading a
+/// socket feeds an HttpResponseReader instead.
 Result<size_t> ParseHttpResponse(std::string_view buf, size_t max_body_bytes,
                                  HttpResponse* out);
 
 /// Serializes a response with Content-Length and Connection headers.
 /// For a streaming response (see HttpResponse::streamer) this emits
 /// only the head with `Transfer-Encoding: chunked`; the caller pumps
-/// the streamer through SerializeChunk and finishes with FinalChunk.
+/// the streamer, framing each chunk with ChunkHead, and finishes with
+/// FinalChunk.
 std::string SerializeHttpResponse(const HttpResponse& response,
                                   bool keep_alive);
 
-/// One chunk of a chunked-transfer body (hex size line + data + CRLF).
-std::string SerializeChunk(std::string_view data);
+/// The status line and headers of SerializeHttpResponse, through the
+/// blank line — what the server sends ahead of the body, which then
+/// goes out from its own buffer (WriteAll's second part).
+std::string SerializeHttpResponseHead(const HttpResponse& response,
+                                      bool keep_alive);
+
+/// The size line of one chunk of a chunked-transfer body (hex size +
+/// CRLF); the chunk's data and its closing CRLF follow it.
+std::string ChunkHead(size_t size);
 
 /// The terminating zero-chunk ("0\r\n\r\n").
 std::string_view FinalChunk();
 
-/// Writes all of `data` to socket `fd`, retrying on EINTR and partial
-/// writes. MSG_NOSIGNAL: a peer that closed mid-response yields EPIPE,
-/// not a process-killing SIGPIPE. False on any other error, including
-/// an expired SO_SNDTIMEO (EAGAIN).
-bool WriteAll(int fd, std::string_view data);
+/// Writes `first` then `second` to socket `fd` with sendmsg over two
+/// iovecs, so a head and a large body leave without being concatenated.
+/// Retries on EINTR and partial writes. MSG_NOSIGNAL: a peer that
+/// closed mid-response yields EPIPE, not a process-killing SIGPIPE.
+/// False on any other error, including an expired SO_SNDTIMEO (EAGAIN).
+bool WriteAll(int fd, std::string_view first, std::string_view second = {});
 
 /// Serializes a request (always with Content-Length, even when empty —
 /// keeps server-side framing trivial).

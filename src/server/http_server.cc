@@ -178,7 +178,7 @@ void HttpServer::AcceptLoop() {
       rejected_queue_.fetch_add(1, std::memory_order_relaxed);
       HttpResponse response = ErrorResponse(
           Status::ResourceExhausted("server overloaded: connection queue full"));
-      WriteAll(fd, SerializeHttpResponse(response, /*keep_alive=*/false));
+      WriteResponse(fd, &response, /*keep_alive=*/false);
       ::close(fd);
       metrics_.Record("(admission)", response.status, 0);
       continue;
@@ -265,7 +265,7 @@ void HttpServer::HandleConnection(int fd) {
     // cleanly instead of silently dropping the connection.
     HttpResponse response =
         ErrorResponse(Status::Unavailable("server shutting down"));
-    WriteAll(fd, SerializeHttpResponse(response, /*keep_alive=*/false));
+    WriteResponse(fd, &response, /*keep_alive=*/false);
   } else {
     for (;;) {
       HttpRequest request;
@@ -273,7 +273,7 @@ void HttpServer::HandleConnection(int fd) {
       ReadOutcome outcome = ReadRequest(fd, &buf, &request, &parse_error);
       if (outcome == ReadOutcome::kMalformed) {
         HttpResponse response = ErrorResponse(parse_error);
-        WriteAll(fd, SerializeHttpResponse(response, /*keep_alive=*/false));
+        WriteResponse(fd, &response, /*keep_alive=*/false);
         metrics_.Record("(malformed)", response.status, 0);
         break;
       }
@@ -306,14 +306,19 @@ void HttpServer::HandleConnection(int fd) {
 
 bool HttpServer::WriteResponse(int fd, HttpResponse* response,
                                bool keep_alive) {
-  bool wrote = WriteAll(fd, SerializeHttpResponse(*response, keep_alive));
-  if (!response->is_streaming()) return wrote;
+  // The head and a Content-Length body leave in one sendmsg, the body
+  // straight from its own buffer.
+  std::string head = SerializeHttpResponseHead(*response, keep_alive);
+  if (!response->is_streaming()) return WriteAll(fd, head, response->body);
+  bool wrote = WriteAll(fd, head);
   // Chunked body: pump the streamer until it runs dry, then the
   // zero-chunk terminator. A mid-stream write failure means the peer is
   // gone or stalled — the framing is now broken, so just close.
   std::string chunk;
   while (wrote && response->streamer(&chunk)) {
-    wrote = WriteAll(fd, SerializeChunk(chunk));
+    size_t size = chunk.size();
+    chunk += "\r\n";
+    wrote = WriteAll(fd, ChunkHead(size), chunk);
     chunk.clear();
   }
   if (wrote) wrote = WriteAll(fd, FinalChunk());

@@ -10,6 +10,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +21,9 @@
 #include "common/file_util.h"
 #include "nn/trainer.h"
 #include "server/client.h"
+#include "server/http_server.h"
 #include "storage/model_artifact.h"
+#include "versioning/model_graph.h"
 
 namespace mlake::cluster {
 namespace {
@@ -330,6 +335,229 @@ TEST(RouterPointLookupTest, OwnerAnswersWhileANonOwnerShardIsDown) {
   ASSERT_TRUE(cluster->Stop().ok());
   cluster.reset();
   ASSERT_TRUE(RemoveAll(dir).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Routed export: the merged dump equals a single lake's dump of the same
+// content byte for byte, and a shard dump with a framing defect is a 500
+// answered before any byte of the body.
+// ---------------------------------------------------------------------------
+
+std::string UntrainedArtifact(uint64_t seed) {
+  Rng rng(seed);
+  auto model = nn::BuildModel(nn::MlpSpec(kDim, {16}, kClasses), &rng)
+                   .MoveValueUnsafe();
+  return storage::SerializeArtifact(
+      storage::ArtifactFromModel(*model, Json::MakeObject()));
+}
+
+std::string DrainLakeExport(const core::ModelLake& lake) {
+  std::string out;
+  std::string line;
+  auto it = lake.OpenExport();
+  while (it->Next(&line)) out += line;
+  return out;
+}
+
+TEST(RouterExportTest, RoutedExportEqualsSingleLakeExport) {
+  std::string dir = MakeTempDir("mlake-router-export").ValueOrDie();
+  std::string oracle_dir = MakeTempDir("mlake-router-export-oracle")
+                               .ValueOrDie();
+  InProcessClusterOptions options;
+  options.shards = 4;
+  options.lake_options.input_dim = kDim;
+  options.lake_options.num_classes = kClasses;
+  options.lake_options.probe_count = 8;
+  options.server_options.threads = 16;
+  options.router_options.heartbeat_interval_ms = 60000;
+  core::LakeOptions oracle_options = options.lake_options;
+  oracle_options.root = oracle_dir;
+  auto oracle = core::ModelLake::Open(oracle_options).MoveValueUnsafe();
+  auto cluster =
+      InProcessCluster::Create(dir, std::move(options)).MoveValueUnsafe();
+
+  // "m1" sorts before "m10" as an id, but its edge line sorts after:
+  // `"m1"` vs `"m10` compares '"' with '0', while the EdgeKeys compare
+  // "m1|" with "m10" ('|' > '0').
+  const std::vector<std::string> ids = {"m1", "m10", "m2", "m3", "m4", "m5",
+                                        "m6", "m7", "m8", "m9", "m11", "m12"};
+  std::map<std::string, size_t> owner;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    std::string bytes = UntrainedArtifact(300 + i);
+    metadata::ModelCard card;
+    card.model_id = ids[i];
+    card.name = ids[i];
+    card.task = i % 2 == 0 ? "sum" : "mean";
+    card.training_datasets = {i % 3 == 0 ? "corpus/a" : "corpus/b"};
+    auto model = storage::ModelFromArtifact(
+                     storage::ParseArtifact(bytes).MoveValueUnsafe())
+                     .MoveValueUnsafe();
+    ASSERT_TRUE(oracle->IngestModel(*model, card).ok());
+    ASSERT_TRUE(cluster->IngestArtifact(bytes, card).ok());
+    owner[ids[i]] = cluster->OwnerShard(bytes);
+  }
+  std::set<size_t> used;
+  for (const auto& [id, shard] : owner) used.insert(shard);
+  ASSERT_GE(used.size(), 2u);
+
+  // Datasets are registered on every shard, as a routed register would.
+  for (const char* name : {"corpus/b", "corpus/a"}) {
+    ASSERT_TRUE(oracle->RegisterDataset(name, {"s1", "s2"}).ok());
+    for (size_t s = 0; s < cluster->shards(); ++s) {
+      ASSERT_TRUE(cluster->lake(s)->RegisterDataset(name, {"s1", "s2"}).ok());
+    }
+  }
+  // Lineage edges live on the shards of both endpoints. One edge pair
+  // spans two shards by construction.
+  std::vector<versioning::VersionEdge> edges;
+  auto edge = [](std::string parent, std::string child,
+                 versioning::EdgeType type) {
+    versioning::VersionEdge e;
+    e.parent = std::move(parent);
+    e.child = std::move(child);
+    e.type = type;
+    return e;
+  };
+  edges.push_back(edge("m1", "m2", versioning::EdgeType::kFinetune));
+  edges.push_back(edge("m10", "m3", versioning::EdgeType::kLora));
+  edges.push_back(edge("m1", "m4", versioning::EdgeType::kDistill));
+  std::string cross_child;
+  for (const std::string& id : ids) {
+    if (owner[id] != owner["m6"]) cross_child = id;
+  }
+  ASSERT_FALSE(cross_child.empty());
+  edges.push_back(edge("m6", cross_child, versioning::EdgeType::kPrune));
+  size_t recorded_twice = 0;
+  for (const versioning::VersionEdge& e : edges) {
+    ASSERT_TRUE(oracle->RecordEdge(e).ok());
+    std::set<size_t> shards = {owner[e.parent], owner[e.child]};
+    recorded_twice += shards.size() == 2 ? 1 : 0;
+    for (size_t s : shards) ASSERT_TRUE(cluster->lake(s)->RecordEdge(e).ok());
+  }
+  ASSERT_GE(recorded_twice, 1u);
+  ASSERT_TRUE(oracle->QuarantineModel("m5").ok());
+  ASSERT_TRUE(cluster->lake(owner["m5"])->QuarantineModel("m5").ok());
+
+  std::string expected = DrainLakeExport(*oracle);
+  ASSERT_NE(expected.find("\"degraded\":true"), std::string::npos);
+  ASSERT_LT(expected.find("{\"kind\":\"edge\",\"parent\":\"m10\""),
+            expected.find("{\"kind\":\"edge\",\"parent\":\"m1\""));
+
+  cluster->router()->TickNow();
+  server::HttpClient client("127.0.0.1", cluster->router_port());
+  client.set_timeout_ms(10000);
+  auto routed = client.Get("/v1/export");
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  ASSERT_EQ(routed.ValueUnsafe().status, 200) << routed.ValueUnsafe().body;
+  EXPECT_EQ(routed.ValueUnsafe().Header("transfer-encoding"), "chunked");
+  EXPECT_EQ(routed.ValueUnsafe().content_type, "application/x-ndjson");
+  EXPECT_EQ(routed.ValueUnsafe().body, expected);
+
+  ASSERT_TRUE(cluster->Stop().ok());
+  cluster.reset();
+  oracle.reset();
+  ASSERT_TRUE(RemoveAll(dir).ok());
+  ASSERT_TRUE(RemoveAll(oracle_dir).ok());
+}
+
+/// A stand-in shard: answers heartbeats and serves a fixed export body.
+class FakeExportShard {
+ public:
+  FakeExportShard() : http_(server::HttpServerOptions()) {
+    http_.Route("GET", "/v1/heartbeat", [](server::RequestContext&) {
+      return server::JsonResponse(Json::MakeObject());
+    });
+    http_.Route("GET", "/v1/export", [this](server::RequestContext&) {
+      server::HttpResponse response;
+      response.content_type = "application/x-ndjson";
+      std::lock_guard<std::mutex> lock(mu_);
+      response.body = body_;
+      return response;
+    });
+    MLAKE_CHECK(http_.Start().ok());
+  }
+  ~FakeExportShard() { MLAKE_CHECK(http_.Stop().ok()); }
+
+  void set_body(std::string body) {
+    std::lock_guard<std::mutex> lock(mu_);
+    body_ = std::move(body);
+  }
+  int port() const { return http_.port(); }
+
+ private:
+  server::HttpServer http_;
+  std::mutex mu_;
+  std::string body_;
+};
+
+std::string ExportHeader(int models) {
+  return "{\"kind\":\"header\",\"schema\":\"mlake.export\","
+         "\"schema_version\":1,\"counts\":{\"models\":" +
+         std::to_string(models) + ",\"edges\":0,\"datasets\":0}}\n";
+}
+
+std::string ModelLine(const std::string& json_id) {
+  return "{\"kind\":\"model\",\"id\":" + json_id +
+         ",\"model\":{},\"degraded\":false}\n";
+}
+
+TEST(RouterExportTest, FramingDefectsAnswer500BeforeAnyByte) {
+  FakeExportShard good;
+  FakeExportShard bad;
+  RouterOptions options;
+  options.backends = {BackendSpec{"127.0.0.1", good.port(), 0},
+                      BackendSpec{"127.0.0.1", bad.port(), 1}};
+  options.cluster_size = 2;
+  options.heartbeat_interval_ms = 60000;
+  options.threads = 2;
+  Router router(options);
+  ASSERT_TRUE(router.Start().ok());
+  router.TickNow();
+  server::HttpClient client("127.0.0.1", router.port());
+  client.set_timeout_ms(10000);
+
+  // Ids merge in decoded order: "a\"" (0x22) sorts before "a#" (0x23),
+  // although its escaped bytes (a\") would sort after.
+  good.set_body(ExportHeader(2) + ModelLine("\"a\\\"\"") + ModelLine("\"c\"") +
+                "{\"kind\":\"footer\",\"records\":2}\n");
+  bad.set_body(ExportHeader(2) + ModelLine("\"a#\"") + ModelLine("\"b\"") +
+               "{\"kind\":\"footer\",\"records\":2}\n");
+  auto merged = client.Get("/v1/export");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_EQ(merged.ValueUnsafe().status, 200) << merged.ValueUnsafe().body;
+  EXPECT_EQ(merged.ValueUnsafe().body,
+            ExportHeader(4) + ModelLine("\"a\\\"\"") + ModelLine("\"a#\"") +
+                ModelLine("\"b\"") + ModelLine("\"c\"") +
+                "{\"kind\":\"footer\",\"records\":4}\n");
+
+  const std::string defects[] = {
+      // Model ids out of order within one leg.
+      ExportHeader(2) + ModelLine("\"d\"") + ModelLine("\"b\""),
+      // A repeated id within one leg is out of order too.
+      ExportHeader(2) + ModelLine("\"b\"") + ModelLine("\"b\""),
+      // A record with no kind.
+      ExportHeader(1) + "{\"id\":\"b\",\"model\":{}}\n",
+      // A model record whose id is not a string.
+      ExportHeader(1) + "{\"kind\":\"model\",\"id\":7,\"degraded\":false}\n",
+      // A model record cut short.
+      ExportHeader(1) + "{\"kind\":\"model\",\"id\":\"b\",\"model\":{\n",
+      // An edge record that is not JSON.
+      ExportHeader(0) + "{\"kind\":\"edge\",\"parent\":\n",
+  };
+  for (const std::string& body : defects) {
+    bad.set_body(body);
+    auto response = client.Get("/v1/export");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const server::HttpResponse& r = response.ValueUnsafe();
+    EXPECT_EQ(r.status, 500) << body;
+    EXPECT_TRUE(r.Header("transfer-encoding").empty()) << body;
+    auto parsed = Json::Parse(r.body);
+    ASSERT_TRUE(parsed.ok()) << r.body;
+    ASSERT_NE(parsed.ValueUnsafe().Find("error"), nullptr) << r.body;
+    EXPECT_EQ(parsed.ValueUnsafe().Find("error")->GetString("code"),
+              "Internal");
+  }
+  ASSERT_TRUE(router.Stop().ok());
 }
 
 TEST(RouterOptionsTest, NonPositiveDefaultDeadlineRejected) {

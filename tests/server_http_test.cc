@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/file_util.h"
 #include "common/json.h"
@@ -123,6 +126,176 @@ TEST(HttpParseTest, RequestSerializeParseRoundTrip) {
   EXPECT_EQ(req.path, "/v1/search");
   EXPECT_EQ(req.body, "{\"k\":1}");
   EXPECT_EQ(req.Header("x-mlake-deadline-ms"), "50");
+}
+
+// ---- Incremental response reader ---------------------------------------
+
+/// A chunked response: `body` cut into chunks of the sizes in `cuts`
+/// (cycled), with a chunk extension on every other size line and a
+/// trailer after the zero chunk.
+std::string ChunkedWire(const std::string& body,
+                        const std::vector<size_t>& cuts) {
+  std::string wire =
+      "HTTP/1.1 200 OK\r\n"
+      "Content-Type: application/x-ndjson\r\n"
+      "Transfer-Encoding: chunked\r\n"
+      "\r\n";
+  size_t at = 0;
+  for (size_t i = 0; at < body.size(); ++i) {
+    size_t n = std::min(cuts[i % cuts.size()], body.size() - at);
+    char size_line[32];
+    std::snprintf(size_line, sizeof(size_line), i % 2 == 0 ? "%zx" : "%zX;ext=%zu",
+                  n, i);
+    wire += size_line;
+    wire += "\r\n";
+    wire.append(body, at, n);
+    wire += "\r\n";
+    at += n;
+  }
+  wire += "0\r\nX-Trailer: yes\r\n\r\n";
+  return wire;
+}
+
+std::string PatternBody(size_t size) {
+  std::string body;
+  body.reserve(size);
+  for (size_t i = 0; i < size; ++i) {
+    body.push_back(i % 61 == 60 ? '\n' : static_cast<char>('a' + i % 26));
+  }
+  return body;
+}
+
+/// Feeds `wire` to a fresh reader in pieces cut at `splits`.
+Result<bool> FeedInPieces(std::string_view wire,
+                          const std::vector<size_t>& splits,
+                          HttpResponseReader* reader) {
+  size_t at = 0;
+  for (size_t split : splits) {
+    auto fed = reader->Feed(wire.substr(at, split - at));
+    if (!fed.ok()) return fed;
+    at = split;
+  }
+  return reader->Feed(wire.substr(at));
+}
+
+TEST(HttpResponseReaderTest, EverySplitMatchesOneShotParse) {
+  const std::string body = PatternBody(700);
+  // Bytes after the response (a pipelined next message) stay unconsumed.
+  const std::string chunked = ChunkedWire(body, {1, 2, 200, 13, 64});
+  HttpResponse one_shot;
+  auto consumed = ParseHttpResponse(chunked + "HTTP/1.1", 1 << 20, &one_shot);
+  ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
+  ASSERT_EQ(consumed.ValueUnsafe(), chunked.size());
+  EXPECT_EQ(one_shot.body, body);
+  EXPECT_EQ(one_shot.content_type, "application/x-ndjson");
+
+  HttpResponse sized;
+  sized.body = body;
+  const std::string with_length = SerializeHttpResponse(sized, true);
+
+  for (const std::string& wire : {chunked, with_length}) {
+    const std::string stream = wire + "HTTP/1.1";
+    for (size_t split = 0; split <= stream.size(); ++split) {
+      HttpResponseReader reader(1 << 20);
+      auto done = FeedInPieces(stream, {split}, &reader);
+      ASSERT_TRUE(done.ok()) << split << ": " << done.status().ToString();
+      ASSERT_TRUE(done.ValueUnsafe()) << split;
+      EXPECT_EQ(reader.response().status, 200);
+      EXPECT_EQ(reader.response().body, body) << split;
+      EXPECT_EQ(reader.consumed(), wire.size()) << split;
+    }
+    // And one byte at a time: done exactly at the final byte.
+    HttpResponseReader reader(1 << 20);
+    for (size_t i = 0; i < wire.size(); ++i) {
+      auto done = reader.Feed(std::string_view(wire).substr(i, 1));
+      ASSERT_TRUE(done.ok()) << i << ": " << done.status().ToString();
+      ASSERT_EQ(done.ValueUnsafe(), i + 1 == wire.size()) << i;
+    }
+    EXPECT_EQ(reader.response().body, body);
+    EXPECT_EQ(reader.consumed(), wire.size());
+  }
+}
+
+TEST(HttpResponseReaderTest, MalformedFramingFailsAtAnySplit) {
+  const std::string head =
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+  const std::string bad[] = {
+      head + "zz\r\nab\r\n0\r\n\r\n",                  // not hex
+      head + "\r\nab\r\n0\r\n\r\n",                    // empty size
+      head + " ;ext\r\nab\r\n0\r\n\r\n",               // blank before ext
+      head + "12345678901234567\r\nab\r\n0\r\n\r\n",   // 17 digits
+      head + "2\r\nabXY0\r\n\r\n",                     // data not CRLF-ended
+      head + "2\r\nab\r\n3\r\nabc\n\r0\r\n\r\n",        // LF CR after data
+  };
+  for (const std::string& wire : bad) {
+    HttpResponse parsed;
+    auto one_shot = ParseHttpResponse(wire, 1 << 20, &parsed);
+    EXPECT_TRUE(one_shot.status().IsInvalidArgument())
+        << wire << " -> " << one_shot.status().ToString();
+    for (size_t split = 0; split <= wire.size(); ++split) {
+      HttpResponseReader reader(1 << 20);
+      auto done = FeedInPieces(wire, {split}, &reader);
+      EXPECT_TRUE(done.status().IsInvalidArgument())
+          << split << ": " << done.status().ToString();
+    }
+  }
+  // A status line that is not HTTP, and a head with no end in sight.
+  HttpResponse parsed;
+  EXPECT_TRUE(ParseHttpResponse("SPDY/3 200\r\n\r\n", 1024, &parsed)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ParseHttpResponse("HTTP/1.1 " + std::string(70000, 'x'), 1024,
+                                &parsed)
+                  .status()
+                  .IsInvalidArgument());
+  // Any other transfer coding is not spoken.
+  EXPECT_TRUE(ParseHttpResponse(
+                  "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n", 1024,
+                  &parsed)
+                  .status()
+                  .IsUnimplemented());
+}
+
+TEST(HttpResponseReaderTest, OversizedBodyIsResourceExhausted) {
+  const std::string body = PatternBody(5000);
+  HttpResponse sized;
+  sized.body = body;
+  for (const std::string& wire :
+       {ChunkedWire(body, {1000}), SerializeHttpResponse(sized, true)}) {
+    HttpResponse parsed;
+    EXPECT_TRUE(ParseHttpResponse(wire, 4999, &parsed)
+                    .status()
+                    .IsResourceExhausted());
+    EXPECT_TRUE(ParseHttpResponse(wire, 5000, &parsed).ok());
+    HttpResponseReader reader(4999);
+    Status failed;
+    for (size_t i = 0; i < wire.size() && failed.ok(); i += 7) {
+      failed = reader.Feed(std::string_view(wire).substr(i, 7)).status();
+    }
+    EXPECT_TRUE(failed.IsResourceExhausted()) << failed.ToString();
+  }
+}
+
+// A reader that re-decoded the body from its start on every read would
+// copy ~2 TiB here and run for hours; decoding each chunk once is linear.
+TEST(HttpResponseReaderTest, TwoMiBFedOneByteAtATimeIsLinear) {
+  const std::string body = PatternBody(size_t{2} << 20);
+  const std::string wire = ChunkedWire(body, {65536, 3, 4096, 1, 777});
+  auto start = std::chrono::steady_clock::now();
+  HttpResponseReader reader(size_t{4} << 20);
+  bool done = false;
+  for (size_t i = 0; i < wire.size(); ++i) {
+    auto fed = reader.Feed(std::string_view(wire).substr(i, 1));
+    ASSERT_TRUE(fed.ok()) << i << ": " << fed.status().ToString();
+    done = fed.ValueUnsafe();
+  }
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(reader.response().body == body);
+  EXPECT_EQ(reader.consumed(), wire.size());
+  EXPECT_LT(seconds, 60.0);
 }
 
 TEST(HttpStatusMapTest, CanonicalTable) {
