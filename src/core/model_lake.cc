@@ -1,11 +1,15 @@
 #include "core/model_lake.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <set>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/file_util.h"
 #include "common/hash.h"
@@ -39,6 +43,50 @@ Result<std::vector<float>> FloatsFromJson(const Json& j) {
     if (!x.is_number()) return Status::Corruption("expected number");
     out.push_back(static_cast<float>(x.AsDouble()));
   }
+  return out;
+}
+
+// A model's embedding lives in the catalog as a "vec" record: its
+// 4 x dim float32 bytes, little-endian (floats already are on every
+// supported target, as in the tensor codec), so a rebuild copies each
+// row with one memcpy. Its own kind keeps the format unambiguous —
+// raw bytes may begin with '[' — and lakes written before it hold
+// "embedding" JSON float arrays instead, converted once at Open
+// (ConvertJsonEmbeddings).
+constexpr char kVecKind[] = "vec";
+constexpr char kJsonEmbeddingKind[] = "embedding";
+
+static_assert(std::endian::native == std::endian::little,
+              "vec records are the host's float bytes");
+
+std::string EmbeddingToBytes(const std::vector<float>& v) {
+  return std::string(reinterpret_cast<const char*>(v.data()),
+                     v.size() * sizeof(float));
+}
+
+// The vec record for an embedding shipped as a JSON float array (an
+// older lake's "embedding" doc, a seed manifest entry). `%.17g` text
+// round-trips every float, so these are the bytes the writer stored.
+Result<std::string> VecRecordFromJson(const std::string& id,
+                                      const Json& floats, int64_t dim) {
+  MLAKE_ASSIGN_OR_RETURN(std::vector<float> vec, FloatsFromJson(floats));
+  if (static_cast<int64_t>(vec.size()) != dim) {
+    return Status::Corruption(
+        StrFormat("embedding for %s has dim %zu, lake expects %lld",
+                  id.c_str(), vec.size(), static_cast<long long>(dim)));
+  }
+  return EmbeddingToBytes(vec);
+}
+
+Result<std::vector<float>> EmbeddingFromBytes(std::string_view bytes,
+                                              int64_t dim) {
+  if (bytes.size() != static_cast<size_t>(dim) * sizeof(float)) {
+    return Status::Corruption(
+        StrFormat("vec record has %zu bytes, lake expects %lld", bytes.size(),
+                  static_cast<long long>(dim) * 4));
+  }
+  std::vector<float> out(static_cast<size_t>(dim));
+  std::memcpy(out.data(), bytes.data(), bytes.size());
   return out;
 }
 
@@ -138,8 +186,11 @@ Status ModelLake::Initialize() {
 
   // Crash recovery must run before the indices are built: it edits the
   // catalog (intent rollback), and the indices must reflect the
-  // recovered state, not the crashed one.
+  // recovered state, not the crashed one. The embedding-format upgrade
+  // runs after it, so a rolled-back batch's JSON docs are never
+  // converted.
   MLAKE_RETURN_NOT_OK(Recover());
+  MLAKE_RETURN_NOT_OK(ConvertJsonEmbeddings());
 
   for (const std::string& id : catalog_->ListIds("degraded")) {
     degraded_.insert(id);
@@ -203,6 +254,26 @@ Status ModelLake::Recover() {
   return Status::OK();
 }
 
+Status ModelLake::ConvertJsonEmbeddings() {
+  // Put every vec record, then delete the JSON docs, then sync. A torn
+  // append keeps a prefix of that order, so a crash leaves each model's
+  // JSON doc (and maybe already its vec record) behind, and the next
+  // Open converts the rest to the same bytes; once no JSON doc is left
+  // this writes nothing.
+  const std::vector<std::string> ids = catalog_->ListIds(kJsonEmbeddingKind);
+  if (ids.empty()) return Status::OK();
+  storage::Catalog::Batch batch;
+  for (const std::string& id : ids) {
+    MLAKE_ASSIGN_OR_RETURN(Json doc, catalog_->GetDoc(kJsonEmbeddingKind, id));
+    MLAKE_ASSIGN_OR_RETURN(std::string bytes,
+                           VecRecordFromJson(id, doc, embedder_->Dim()));
+    batch.PutRaw(kVecKind, id, std::move(bytes));
+  }
+  for (const std::string& id : ids) batch.DeleteDoc(kJsonEmbeddingKind, id);
+  MLAKE_RETURN_NOT_OK(catalog_->Write(std::move(batch)));
+  return catalog_->Sync();
+}
+
 Status ModelLake::RollbackIntent(const storage::Intent& intent) {
   if (IsApplyThenLog(intent.op)) {
     // The intent is written only after the mutation is durable, so
@@ -217,15 +288,18 @@ Status ModelLake::RollbackIntent(const storage::Intent& intent) {
     // the new one after — and is idempotent.
     return GcIndexFilesUnlocked();
   }
+  storage::Catalog::Batch undo;
   for (const std::string& id : intent.ids) {
-    for (const char* kind : {"model", "card", "embedding", "degraded"}) {
-      if (catalog_->Contains(kind, id)) {
-        MLAKE_RETURN_NOT_OK(catalog_->DeleteDoc(kind, id));
-      }
+    // The JSON embedding kind too: Recover runs before the format
+    // upgrade, so a crashed batch of an old lake still holds one.
+    for (const char* kind :
+         {"model", "card", kVecKind, kJsonEmbeddingKind, "degraded"}) {
+      if (catalog_->Contains(kind, id)) undo.DeleteDoc(kind, id);
     }
     graph_.RemoveModel(id);
     degraded_.erase(id);
   }
+  MLAKE_RETURN_NOT_OK(catalog_->Write(std::move(undo)));
   // Blobs are content-addressed and deduplicated: only delete an intent
   // digest when no surviving model still references it.
   std::set<std::string> referenced;
@@ -277,22 +351,23 @@ Status ModelLake::BuildIndexSetFromCatalog(IndexSet* out) const {
 
   // Embeddings, model docs and cards -> one bulk ANN build, the column
   // rows (with each model's artifact digest, the load path's id ->
-  // digest hop) and BM25, all in embedding-id order (row i = HNSW
-  // element i). Catalog reads are const and safe concurrently; the JSON
-  // parse is the cost, so parse in parallel and feed the (single
-  // threaded) column store and inverted index in catalog order. Cards
-  // are decoded a chunk at a time so at most one chunk of decoded cards
-  // is ever resident.
+  // digest hop) and BM25, all in vec-id order (row i = HNSW element i).
+  // Catalog reads are const and safe concurrently; the JSON parse of
+  // model docs and cards is the cost (a vec record is one memcpy), so
+  // parse in parallel and feed the (single threaded) column store and
+  // inverted index in catalog order. Cards are decoded a chunk at a
+  // time so at most one chunk of decoded cards is ever resident.
   {
     constexpr size_t kCardChunk = 1024;
-    std::vector<std::string> ids = catalog_->ListIds("embedding");
+    std::vector<std::string> ids = catalog_->ListIds(kVecKind);
     std::vector<std::vector<float>> vecs(ids.size());
     std::vector<std::string> digests(ids.size());
     MLAKE_RETURN_NOT_OK(
         ParallelFor(exec, 0, ids.size(), [&](size_t i) -> Status {
-          MLAKE_ASSIGN_OR_RETURN(Json doc,
-                                 catalog_->GetDoc("embedding", ids[i]));
-          MLAKE_ASSIGN_OR_RETURN(vecs[i], FloatsFromJson(doc));
+          MLAKE_ASSIGN_OR_RETURN(std::string bytes,
+                                 catalog_->GetRaw(kVecKind, ids[i]));
+          MLAKE_ASSIGN_OR_RETURN(vecs[i],
+                                 EmbeddingFromBytes(bytes, embedder_->Dim()));
           if (Result<Json> model_doc = catalog_->GetDoc("model", ids[i]);
               model_doc.ok()) {
             digests[i] = model_doc.ValueUnsafe().GetString("artifact_digest");
@@ -550,9 +625,10 @@ Status ModelLake::LoadIndexSnapshots() {
                                    catalog_->GetDoc("card", added[i]));
             MLAKE_ASSIGN_OR_RETURN(cards[i],
                                    metadata::ModelCard::FromJson(card_doc));
-            MLAKE_ASSIGN_OR_RETURN(Json emb_doc,
-                                   catalog_->GetDoc("embedding", added[i]));
-            MLAKE_ASSIGN_OR_RETURN(vecs[i], FloatsFromJson(emb_doc));
+            MLAKE_ASSIGN_OR_RETURN(std::string bytes,
+                                   catalog_->GetRaw(kVecKind, added[i]));
+            MLAKE_ASSIGN_OR_RETURN(
+                vecs[i], EmbeddingFromBytes(bytes, embedder_->Dim()));
             return Status::OK();
           }));
       std::vector<int64_t> internal_ids(added.size());
@@ -874,6 +950,8 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
   // the lake untouched.
   std::vector<std::string> ids;
   ids.reserve(rows.size());
+  std::unordered_set<std::string_view> seen;  // views of the cards' ids
+  seen.reserve(rows.size());
   bool has_artifacts = false;
   for (const IngestRow& row : rows) {
     const std::string& id = row.card->model_id;
@@ -883,7 +961,7 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
     if (catalog_->Contains("model", id)) {
       return Status::AlreadyExists("model already in lake: " + id);
     }
-    if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
+    if (!seen.insert(id).second) {
       return Status::AlreadyExists("duplicate model id in ingest batch: " +
                                    id);
     }
@@ -925,8 +1003,9 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
   const size_t pre_rows = columns_.rows();
   const size_t pre_ann_delta = ann_->DeltaSize();
   Status applied = [&]() -> Status {
-    // Blobs first (content-addressed, idempotent), then catalog docs and
-    // index entries, all in batch order.
+    // Blobs first (content-addressed, idempotent), then the batch's
+    // model, card and vec records in one catalog append, then index
+    // entries, all in batch order.
     for (const IngestRow& row : rows) {
       if (row.digest.empty()) continue;
       MLAKE_ASSIGN_OR_RETURN(std::string digest,
@@ -936,20 +1015,24 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
                                 row.card->model_id);
       }
     }
-    std::vector<int64_t> internal_ids(rows.size());
-    std::vector<std::vector<float>> embeddings(rows.size());
+    storage::Catalog::Batch docs;
     for (size_t i = 0; i < rows.size(); ++i) {
       IngestRow& row = rows[i];
-      const std::string& id = ids[i];
       if (row.digest.empty()) {
         row.model_doc = Json::MakeObject();
         row.model_doc.Set("artifact_digest", std::string());
         row.model_doc.Set("metadata_only", true);
       }
-      MLAKE_RETURN_NOT_OK(catalog_->PutDoc("model", id, row.model_doc));
-      MLAKE_RETURN_NOT_OK(catalog_->PutDoc("card", id, row.card->ToJson()));
-      MLAKE_RETURN_NOT_OK(
-          catalog_->PutDoc("embedding", id, FloatsToJson(row.embedding)));
+      docs.PutDoc("model", ids[i], row.model_doc);
+      docs.PutDoc("card", ids[i], row.card->ToJson());
+      docs.PutRaw(kVecKind, ids[i], EmbeddingToBytes(row.embedding));
+    }
+    MLAKE_RETURN_NOT_OK(catalog_->Write(std::move(docs)));
+    std::vector<int64_t> internal_ids(rows.size());
+    std::vector<std::vector<float>> embeddings(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      IngestRow& row = rows[i];
+      const std::string& id = ids[i];
       bm25_.Add(id, row.card->SearchText());
       internal_ids[i] = static_cast<int64_t>(columns_.rows());
       MLAKE_RETURN_NOT_OK(
@@ -1408,11 +1491,13 @@ std::string ModelLake::ReplicationFingerprintUnlocked() const {
   auto mix = [&acc](const std::string& piece) {
     acc = Sha256::HexDigest(acc + piece);
   };
-  for (const char* kind : {"model", "card", "embedding", "dataset"}) {
+  // Stored bytes, unparsed: a JSON doc's are its compact Dump, a vec
+  // record's its float bits.
+  for (const char* kind : {"model", "card", kVecKind, "dataset"}) {
     for (const std::string& id : catalog_->ListIds(kind)) {  // sorted
-      Result<Json> doc = catalog_->GetDoc(kind, id);
+      Result<std::string> raw = catalog_->GetRaw(kind, id);
       mix(std::string(kind) + "|" + id + "|" +
-          (doc.ok() ? doc.ValueUnsafe().Dump() : std::string("<unreadable>")));
+          (raw.ok() ? raw.ValueUnsafe() : std::string("<unreadable>")));
     }
   }
   std::vector<std::string> edges;
@@ -1437,15 +1522,23 @@ Result<Json> ModelLake::ReplicationSeedJson() const {
   }
   // Docs ship verbatim: the replica re-puts these exact bytes, so a
   // re-seeded catalog fingerprints identically to the leader's by
-  // construction.
+  // construction. The vec record ships as an "embedding" float array
+  // (%.17g round-trips every float), re-encoded to the same bytes.
   Json models = Json::MakeArray();
   for (const std::string& id : catalog_->ListIds("model")) {  // sorted
     Json entry = Json::MakeObject();
     entry.Set("id", id);
-    for (const char* kind : {"model", "card", "embedding"}) {
+    for (const char* kind : {"model", "card"}) {
       if (Result<Json> doc = catalog_->GetDoc(kind, id); doc.ok()) {
         entry.Set(kind, doc.MoveValueUnsafe());
       }
+    }
+    if (Result<std::string> bytes = catalog_->GetRaw(kVecKind, id);
+        bytes.ok()) {
+      MLAKE_ASSIGN_OR_RETURN(
+          std::vector<float> vec,
+          EmbeddingFromBytes(bytes.ValueUnsafe(), embedder_->Dim()));
+      entry.Set("embedding", FloatsToJson(vec));
     }
     models.Append(std::move(entry));
   }
@@ -1617,13 +1710,17 @@ Status ModelLake::ReseedFromManifest(
     (void)stored;
   }
 
-  // 2. Catalog: force every model/card/embedding/dataset doc to the
-  // seed's exact bytes — extra ids are deleted, divergent docs
-  // overwritten, datasets replaced wholesale.
-  std::map<std::string, std::map<std::string, const Json*>> want;
+  // 2. Catalog: force every model/card/vec/dataset record to the
+  // seed's exact bytes — extra ids are deleted, divergent records
+  // overwritten, datasets replaced wholesale — in one append.
+  std::map<std::string, std::map<std::string, std::string>> want;
   for (const auto& [id, entry] : seed) {
-    for (const char* kind : {"model", "card", "embedding"}) {
-      if (const Json* doc = entry->Find(kind)) want[kind][id] = doc;
+    for (const char* kind : {"model", "card"}) {
+      if (const Json* doc = entry->Find(kind)) want[kind][id] = doc->Dump();
+    }
+    if (const Json* floats = entry->Find("embedding")) {
+      MLAKE_ASSIGN_OR_RETURN(want[kVecKind][id],
+                             VecRecordFromJson(id, *floats, embedder_->Dim()));
     }
   }
   if (const Json* datasets = manifest.Find("datasets");
@@ -1634,23 +1731,23 @@ Status ModelLake::ReseedFromManifest(
       if (name.empty() || doc == nullptr) {
         return Status::Corruption("seed manifest: bad dataset entry");
       }
-      want["dataset"][name] = doc;
+      want["dataset"][name] = doc->Dump();
     }
   }
-  for (const char* kind : {"model", "card", "embedding", "dataset"}) {
-    const std::map<std::string, const Json*>& docs = want[kind];
+  storage::Catalog::Batch repair;
+  for (const char* kind : {"model", "card", kVecKind, "dataset"}) {
+    std::map<std::string, std::string>& records = want[kind];
     for (const std::string& id : catalog_->ListIds(kind)) {
-      if (docs.count(id) == 0) {
-        MLAKE_RETURN_NOT_OK(catalog_->DeleteDoc(kind, id));
-      }
+      if (records.count(id) == 0) repair.DeleteDoc(kind, id);
     }
-    for (const auto& [id, doc] : docs) {
-      Result<Json> existing = catalog_->GetDoc(kind, id);
-      if (!existing.ok() || existing.ValueUnsafe().Dump() != doc->Dump()) {
-        MLAKE_RETURN_NOT_OK(catalog_->PutDoc(kind, id, *doc));
+    for (auto& [id, bytes] : records) {
+      Result<std::string> existing = catalog_->GetRaw(kind, id);
+      if (!existing.ok() || existing.ValueUnsafe() != bytes) {
+        repair.PutRaw(kind, id, std::move(bytes));
       }
     }
   }
+  MLAKE_RETURN_NOT_OK(catalog_->Write(std::move(repair)));
 
   // 3. Lineage, wholesale: nodes for artifact-backed models, then the
   // seed's edges (AddEdge auto-registers any endpoint it is missing).

@@ -727,6 +727,11 @@ class ModelLake {
   /// Open()-time crash recovery: rolls back pending intents, removes
   /// stray temp files, garbage-collects orphan blobs. Fills recovery_.
   Status Recover();
+  /// Open()-time format upgrade: rewrites a lake's "embedding" JSON
+  /// docs (the format before binary "vec" records) as vec records and
+  /// deletes them, then syncs. Crash-safe and idempotent; writes
+  /// nothing once no JSON doc is left.
+  Status ConvertJsonEmbeddings();
   /// Undoes everything a (possibly partial) mutation described by
   /// `intent` may have applied on disk: catalog docs, graph nodes, and
   /// blobs no surviving model references. Idempotent — a crash during

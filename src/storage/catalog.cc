@@ -9,15 +9,40 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(const std::string& path,
   return std::unique_ptr<Catalog>(new Catalog(std::move(kv)));
 }
 
-Status Catalog::PutDoc(const std::string& kind, const std::string& id,
-                       const Json& doc) {
+void Catalog::Batch::Add(const std::string& kind, const std::string& id,
+                         std::string bytes, bool erase) {
+  if (!status_.ok()) return;  // the Write fails anyway
   if (kind.empty() || id.empty()) {
-    return Status::InvalidArgument("catalog: empty kind or id");
+    status_ = Status::InvalidArgument("catalog: empty kind or id");
+    return;
   }
   if (kind.find('/') != std::string::npos) {
-    return Status::InvalidArgument("catalog: kind must not contain '/'");
+    status_ = Status::InvalidArgument("catalog: kind must not contain '/'");
+    return;
   }
-  return kv_->Put(KeyFor(kind, id), doc.Dump());
+  writes_.push_back({KeyFor(kind, id), std::move(bytes), erase});
+}
+
+void Catalog::Batch::PutRaw(const std::string& kind, const std::string& id,
+                            std::string bytes) {
+  Add(kind, id, std::move(bytes), /*erase=*/false);
+}
+
+void Catalog::Batch::DeleteDoc(const std::string& kind,
+                               const std::string& id) {
+  Add(kind, id, std::string(), /*erase=*/true);
+}
+
+Status Catalog::Write(Batch batch) {
+  MLAKE_RETURN_NOT_OK(batch.status_);
+  return kv_->Write(batch.writes_);
+}
+
+Status Catalog::PutDoc(const std::string& kind, const std::string& id,
+                       const Json& doc) {
+  Batch batch;
+  batch.PutDoc(kind, id, doc);
+  return Write(std::move(batch));
 }
 
 Result<Json> Catalog::GetDoc(const std::string& kind,

@@ -11,13 +11,36 @@
 
 namespace mlake::storage {
 
-/// Namespaced JSON-document catalog on top of the KV store.
+/// Namespaced document catalog on top of the KV store.
 ///
 /// Keys are "<kind>/<id>" where kind is one of the lake's entity kinds
 /// ("model", "card", "edge", "benchmark", ...). All lake metadata that
-/// is not raw weights lives here.
+/// is not raw weights lives here. Most kinds hold compact JSON docs;
+/// a kind may instead hold raw bytes of its own format (the lake's
+/// "vec" kind: little-endian float32 embeddings).
 class Catalog {
  public:
+  /// Catalog writes collected for one `Write`: one log append, applied
+  /// all or nothing (see KvStore::Write).
+  class Batch {
+   public:
+    void PutDoc(const std::string& kind, const std::string& id,
+                const Json& doc) {
+      PutRaw(kind, id, doc.Dump());
+    }
+    void PutRaw(const std::string& kind, const std::string& id,
+                std::string bytes);
+    void DeleteDoc(const std::string& kind, const std::string& id);
+
+   private:
+    friend class Catalog;
+    void Add(const std::string& kind, const std::string& id,
+             std::string bytes, bool erase);
+
+    std::vector<KvWrite> writes_;
+    Status status_;  // first invalid kind/id; fails the whole Write
+  };
+
   /// `fs` is the storage seam (nullptr = real filesystem).
   static Result<std::unique_ptr<Catalog>> Open(const std::string& path,
                                                Fs* fs = nullptr);
@@ -28,9 +51,13 @@ class Catalog {
   Status PutDoc(const std::string& kind, const std::string& id,
                 const Json& doc);
 
+  /// Applies every write of `batch`, in order, with one log append.
+  Status Write(Batch batch);
+
   Result<Json> GetDoc(const std::string& kind, const std::string& id) const;
 
-  /// The stored bytes of a doc (its compact `Dump()`), unparsed.
+  /// The stored bytes of a doc (its compact `Dump()` for a JSON doc),
+  /// unparsed.
   Result<std::string> GetRaw(const std::string& kind,
                              const std::string& id) const;
 

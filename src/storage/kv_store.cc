@@ -41,16 +41,18 @@ Status KvStore::MaybeAutoCompact() {
   return Status::OK();
 }
 
-std::string KvStore::EncodeRecord(uint8_t type, const std::string& key,
-                                  std::string_view value) {
-  std::string body;
-  body.push_back(static_cast<char>(type));
-  PutLengthPrefixed(&body, key);
-  PutLengthPrefixed(&body, value);
-  std::string record;
-  PutU32(&record, Crc32(body));
-  record += body;
-  return record;
+void KvStore::EncodeRecord(uint8_t type, const std::string& key,
+                           std::string_view value, std::string* out) {
+  // u32 crc over [type..value-end], written once the body is in place.
+  const size_t start = out->size();
+  PutU32(out, 0);
+  out->push_back(static_cast<char>(type));
+  PutLengthPrefixed(out, key);
+  PutLengthPrefixed(out, value);
+  const uint32_t crc = Crc32(std::string_view(*out).substr(start + 4));
+  for (size_t b = 0; b < 4; ++b) {
+    (*out)[start + b] = static_cast<char>((crc >> (8 * b)) & 0xff);
+  }
 }
 
 Status KvStore::Replay() {
@@ -113,15 +115,26 @@ Status KvStore::Replay() {
   return Status::OK();
 }
 
-Status KvStore::AppendRecord(uint8_t type, const std::string& key,
-                             std::string_view value) {
-  std::string record = EncodeRecord(type, key, value);
-  Status st = fs_->AppendFile(path_, record);
+Status KvStore::Write(std::span<KvWrite> batch) {
+  uint64_t batch_bytes = 0;
+  for (const KvWrite& w : batch) {
+    if (w.key.empty()) return Status::InvalidArgument("empty key");
+    batch_bytes += RecordSize(w.key, w.value);
+  }
+  std::string records;
+  records.reserve(batch_bytes);
+  for (const KvWrite& w : batch) {
+    EncodeRecord(w.erase ? kTypeDelete : kTypePut, w.key,
+                 w.erase ? std::string_view() : std::string_view(w.value),
+                 &records);
+  }
+  if (records.empty()) return Status::OK();
+  Status st = fs_->AppendFile(path_, records);
   if (!st.ok()) {
     // The append may have landed partially (short write). Cut the log
-    // back to the last known-good length so later appends do not write
-    // behind a torn record — CRC replay would stop at the tear and
-    // silently drop everything after it.
+    // back to the pre-batch length so later appends do not write behind
+    // a torn record — CRC replay would stop at the tear and silently
+    // drop everything after it.
     if (fs_->FileExists(path_)) {
       Status trunc = fs_->Truncate(path_, log_bytes_);
       if (!trunc.ok()) {
@@ -134,20 +147,29 @@ Status KvStore::AppendRecord(uint8_t type, const std::string& key,
     }
     return st;
   }
-  log_bytes_ += record.size();
-  return Status::OK();
+  log_bytes_ += records.size();
+  // The index follows the log only once the whole batch is in it.
+  for (KvWrite& w : batch) {
+    auto it = index_.find(w.key);
+    if (it != index_.end()) {
+      live_bytes_ -= RecordSize(w.key, it->second);
+      if (w.erase) {
+        index_.erase(it);
+      } else {
+        live_bytes_ += RecordSize(w.key, w.value);
+        it->second = std::move(w.value);
+      }
+    } else if (!w.erase) {
+      live_bytes_ += RecordSize(w.key, w.value);
+      index_.emplace(std::move(w.key), std::move(w.value));
+    }
+  }
+  return MaybeAutoCompact();
 }
 
 Status KvStore::Put(const std::string& key, std::string_view value) {
-  if (key.empty()) return Status::InvalidArgument("empty key");
-  MLAKE_RETURN_NOT_OK(AppendRecord(kTypePut, key, value));
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    live_bytes_ -= RecordSize(key, it->second);
-  }
-  live_bytes_ += RecordSize(key, value);
-  index_[key] = std::string(value);
-  return MaybeAutoCompact();
+  KvWrite w{key, std::string(value)};
+  return Write({&w, 1});
 }
 
 Result<std::string> KvStore::Get(const std::string& key) const {
@@ -163,15 +185,12 @@ bool KvStore::Contains(const std::string& key) const {
 }
 
 Status KvStore::Delete(const std::string& key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return Status::OK();
-  // Tombstone lands in the log before the index forgets the key (same
-  // order as Put): a failed append is then a clean no-op, instead of an
+  if (!index_.contains(key)) return Status::OK();
+  // The tombstone lands in the log before the index forgets the key
+  // (see Write): a failed append is then a clean no-op, instead of an
   // in-memory delete that a reopen silently resurrects.
-  MLAKE_RETURN_NOT_OK(AppendRecord(kTypeDelete, key, ""));
-  live_bytes_ -= RecordSize(key, it->second);
-  index_.erase(it);
-  return MaybeAutoCompact();
+  KvWrite w{key, std::string(), /*erase=*/true};
+  return Write({&w, 1});
 }
 
 std::vector<std::string> KvStore::ScanPrefix(const std::string& prefix) const {
@@ -185,8 +204,9 @@ std::vector<std::string> KvStore::ScanPrefix(const std::string& prefix) const {
 
 Status KvStore::Compact() {
   std::string compacted;
+  compacted.reserve(live_bytes_);
   for (const auto& [key, value] : index_) {
-    compacted += EncodeRecord(kTypePut, key, value);
+    EncodeRecord(kTypePut, key, value, &compacted);
   }
   MLAKE_RETURN_NOT_OK(WriteFileAtomic(fs_, path_, compacted));
   log_bytes_ = compacted.size();

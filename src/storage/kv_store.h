@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,14 +21,19 @@ namespace mlake::storage {
 ///   u8  type (1 = put, 2 = delete)
 ///   length-prefixed key, length-prefixed value (empty for delete)
 ///
-/// `Open` replays the log to rebuild the index; a torn or corrupt tail
-/// record (e.g. a crash mid-append) is detected via CRC and the log is
-/// truncated at the last valid record, so a crashed writer never poisons
-/// the store. The truncation itself is fsynced (file + directory), so
-/// the repaired state survives a second crash. A failed append is
-/// truncated back to the last known-good length, so one I/O error does
-/// not strand a torn record in front of later appends. `Compact()`
-/// rewrites only live records through an atomic rename.
+/// Every mutation is a batch of records (`Write`; `Put` and `Delete`
+/// are batches of one) encoded back to back and written with one
+/// append. `Open` replays the log to rebuild the index; a torn or
+/// corrupt tail record (e.g. a crash mid-append) is detected via CRC
+/// and the log is truncated at the last valid record, so a crashed
+/// writer never poisons the store and a batch torn mid-append replays
+/// as the prefix of complete records before the tear. The truncation
+/// itself is fsynced (file + directory), so the repaired state survives
+/// a second crash. A failed append is truncated back to the pre-batch
+/// length and leaves the index untouched, so one I/O error neither
+/// strands a torn record in front of later appends nor applies part of
+/// a batch in memory. `Compact()` rewrites only live records through an
+/// atomic rename.
 /// Automatic compaction policy for a KvStore: the log is rewritten when
 /// it holds more than `max_garbage_ratio` times the live data and
 /// exceeds `min_log_bytes` (so small stores never churn).
@@ -36,6 +42,14 @@ struct KvCompactionPolicy {
   uint64_t min_log_bytes = 64 * 1024;
   /// Disables automatic compaction entirely (manual Compact() only).
   bool automatic = true;
+};
+
+/// One record of a `KvStore::Write` batch: a put of `value` under
+/// `key`, or (`erase`) a delete of `key`.
+struct KvWrite {
+  std::string key;
+  std::string value;
+  bool erase = false;
 };
 
 class KvStore {
@@ -50,6 +64,12 @@ class KvStore {
   KvStore& operator=(const KvStore&) = delete;
 
   Status Put(const std::string& key, std::string_view value);
+
+  /// Applies `batch` in order with one log append: either every record
+  /// lands in the log and the index, or (on a failed or short append)
+  /// the log is cut back to its pre-batch length and the index is
+  /// untouched. An empty key fails the whole batch before any write.
+  Status Write(std::span<KvWrite> batch);
 
   Result<std::string> Get(const std::string& key) const;
 
@@ -89,11 +109,9 @@ class KvStore {
       : path_(std::move(path)), policy_(policy), fs_(fs) {}
 
   Status Replay();
-  Status AppendRecord(uint8_t type, const std::string& key,
-                      std::string_view value);
   Status MaybeAutoCompact();
-  static std::string EncodeRecord(uint8_t type, const std::string& key,
-                                  std::string_view value);
+  static void EncodeRecord(uint8_t type, const std::string& key,
+                           std::string_view value, std::string* out);
   static uint64_t RecordSize(const std::string& key, std::string_view value);
 
   std::string path_;

@@ -101,5 +101,36 @@ TEST_F(CatalogTest, ComplexDocumentRoundTrip) {
   EXPECT_TRUE(back == doc);
 }
 
+TEST_F(CatalogTest, BatchLandsInOneAppend) {
+  auto catalog = Catalog::Open(path_).MoveValueUnsafe();
+  ASSERT_TRUE(catalog->PutDoc("card", "old", Doc("x")).ok());
+  const uint64_t before = catalog->kv()->LogBytes();
+  Catalog::Batch batch;
+  batch.PutDoc("card", "m", Doc("c"));
+  batch.PutRaw("vec", "m", std::string("[\x00\xff", 3));  // not JSON
+  batch.DeleteDoc("card", "old");
+  ASSERT_TRUE(catalog->Write(std::move(batch)).ok());
+  EXPECT_EQ(catalog->GetDoc("card", "m").ValueOrDie().GetString("v"), "c");
+  EXPECT_EQ(catalog->GetRaw("vec", "m").ValueOrDie(),
+            std::string("[\x00\xff", 3));
+  EXPECT_FALSE(catalog->Contains("card", "old"));
+  EXPECT_GT(catalog->kv()->LogBytes(), before);
+
+  auto reopened = Catalog::Open(path_).MoveValueUnsafe();
+  EXPECT_EQ(reopened->GetRaw("vec", "m").ValueOrDie(),
+            std::string("[\x00\xff", 3));
+  EXPECT_FALSE(reopened->Contains("card", "old"));
+}
+
+TEST_F(CatalogTest, BatchWithInvalidKindWritesNothing) {
+  auto catalog = Catalog::Open(path_).MoveValueUnsafe();
+  Catalog::Batch batch;
+  batch.PutDoc("card", "m", Doc("c"));
+  batch.PutRaw("bad/kind", "m", "x");
+  EXPECT_TRUE(catalog->Write(std::move(batch)).IsInvalidArgument());
+  EXPECT_FALSE(catalog->Contains("card", "m"));
+  EXPECT_EQ(catalog->kv()->LogBytes(), 0u);
+}
+
 }  // namespace
 }  // namespace mlake::storage

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_fs.h"
 #include "common/file_util.h"
 #include "common/string_util.h"
 
@@ -173,6 +174,117 @@ TEST_F(KvStoreTest, ManyKeysStressAndReopen) {
   EXPECT_EQ(store->Count(), 1000u - 334u);
   EXPECT_FALSE(store->Contains("key-0000"));
   EXPECT_EQ(store->Get("key-0001").ValueOrDie(), "val-1");
+}
+
+std::vector<KvWrite> ThreeRecordBatch() {
+  return {{"b/1", "one"}, {"b/2", std::string(300, 'x')}, {"b/3", "three"}};
+}
+
+TEST_F(KvStoreTest, BatchWriteIsVisibleAndReplayed) {
+  {
+    auto store = KvStore::Open(path_).MoveValueUnsafe();
+    ASSERT_TRUE(store->Put("old", "gone soon").ok());
+    std::vector<KvWrite> batch = ThreeRecordBatch();
+    batch.push_back({"old", "", /*erase=*/true});
+    batch.push_back({"b/1", "one again"});  // later record wins
+    ASSERT_TRUE(store->Write(batch).ok());
+    EXPECT_EQ(store->Count(), 3u);
+    EXPECT_FALSE(store->Contains("old"));
+    EXPECT_EQ(store->Get("b/1").ValueOrDie(), "one again");
+    EXPECT_EQ(store->Get("b/2").ValueOrDie(), std::string(300, 'x'));
+    EXPECT_EQ(store->Get("b/3").ValueOrDie(), "three");
+    EXPECT_EQ(store->LogBytes(), FileSize(path_).ValueOrDie());
+  }
+  auto store = KvStore::Open(path_).MoveValueUnsafe();
+  EXPECT_EQ(store->Count(), 3u);
+  EXPECT_FALSE(store->Contains("old"));
+  EXPECT_EQ(store->Get("b/1").ValueOrDie(), "one again");
+  EXPECT_EQ(store->Get("b/3").ValueOrDie(), "three");
+}
+
+TEST_F(KvStoreTest, BatchWithEmptyKeyWritesNothing) {
+  auto store = KvStore::Open(path_).MoveValueUnsafe();
+  std::vector<KvWrite> batch = ThreeRecordBatch();
+  batch.push_back({"", "v"});
+  EXPECT_TRUE(store->Write(batch).IsInvalidArgument());
+  EXPECT_EQ(store->Count(), 0u);
+  EXPECT_EQ(store->LogBytes(), 0u);
+  EXPECT_FALSE(FileExists(path_));
+}
+
+// A failed or short batch append leaves the log length and every key
+// as they were, in process and after a reopen.
+TEST_F(KvStoreTest, FailedBatchAppendLeavesStoreUnchanged) {
+  {
+    auto store = KvStore::Open(path_).MoveValueUnsafe();
+    ASSERT_TRUE(store->Put("b/2", "before").ok());
+    ASSERT_TRUE(store->Put("keep", "k").ok());
+  }
+  const std::string before = ReadFile(path_).ValueOrDie();
+  for (bool short_write : {false, true}) {
+    SCOPED_TRACE(short_write ? "short append" : "failed append");
+    FaultPlan plan;
+    plan.seed = 7;
+    if (short_write) {
+      plan.short_write_rate = 1.0;
+    } else {
+      plan.fail_ops = {1};  // the batch's append is the first mutating op
+    }
+    FaultInjectingFs fs(RealFs(), plan);
+    auto store = KvStore::Open(path_, {}, &fs).MoveValueUnsafe();
+    const uint64_t log_bytes = store->LogBytes();
+    std::vector<KvWrite> batch = ThreeRecordBatch();
+    batch.push_back({"keep", "", /*erase=*/true});
+    EXPECT_FALSE(store->Write(batch).ok());
+    EXPECT_EQ(fs.injected_errors(), 1u);
+    EXPECT_EQ(store->LogBytes(), log_bytes);
+    EXPECT_EQ(store->Count(), 2u);
+    EXPECT_EQ(store->Get("b/2").ValueOrDie(), "before");
+    EXPECT_EQ(store->Get("keep").ValueOrDie(), "k");
+    EXPECT_FALSE(store->Contains("b/1"));
+    EXPECT_FALSE(store->Contains("b/3"));
+    EXPECT_EQ(ReadFile(path_).ValueOrDie(), before);
+
+    auto reopened = KvStore::Open(path_).MoveValueUnsafe();
+    EXPECT_EQ(reopened->LogBytes(), log_bytes);
+    EXPECT_EQ(reopened->Count(), 2u);
+    EXPECT_EQ(reopened->Get("b/2").ValueOrDie(), "before");
+    EXPECT_EQ(reopened->Get("keep").ValueOrDie(), "k");
+  }
+}
+
+// A crash that tears a batch's append leaves a prefix of its records;
+// replay keeps exactly the complete ones before the tear.
+TEST_F(KvStoreTest, TornBatchReplaysCompleteRecordsBeforeTheTear) {
+  uint64_t pre_batch = 0;
+  {
+    auto store = KvStore::Open(path_).MoveValueUnsafe();
+    ASSERT_TRUE(store->Put("pre", "p").ok());
+    pre_batch = store->LogBytes();
+    std::vector<KvWrite> batch = ThreeRecordBatch();
+    ASSERT_TRUE(store->Write(batch).ok());
+  }
+  // crc + type + two length prefixes + "b/1" + "one".
+  const uint64_t after_first = pre_batch + 13 + 3 + 3;
+  const std::string full = ReadFile(path_).ValueOrDie();
+  // Cut inside the second record: 10 bytes past the end of the first.
+  ASSERT_TRUE(WriteFile(path_, full.substr(0, after_first + 10)).ok());
+  {
+    auto store = KvStore::Open(path_).MoveValueUnsafe();
+    EXPECT_EQ(store->LogBytes(), after_first);
+    EXPECT_EQ(store->Count(), 2u);
+    EXPECT_EQ(store->Get("pre").ValueOrDie(), "p");
+    EXPECT_EQ(store->Get("b/1").ValueOrDie(), "one");
+    EXPECT_FALSE(store->Contains("b/2"));
+    EXPECT_FALSE(store->Contains("b/3"));
+  }
+  EXPECT_EQ(FileSize(path_).ValueOrDie(), after_first);
+  // Cut inside the first record: nothing of the batch survives.
+  ASSERT_TRUE(WriteFile(path_, full.substr(0, pre_batch + 3)).ok());
+  auto store = KvStore::Open(path_).MoveValueUnsafe();
+  EXPECT_EQ(store->LogBytes(), pre_batch);
+  EXPECT_EQ(store->Count(), 1u);
+  EXPECT_FALSE(store->Contains("b/1"));
 }
 
 }  // namespace

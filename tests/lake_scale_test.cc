@@ -3,14 +3,18 @@
 // reconciliation, O(batch) rollback under injected faults, the stats
 // surface, and the decoded column store MLQL and hybrid scan (equal to
 // the catalog on every maintenance path; its sidecar sections treated
-// as untrusted input).
+// as untrusted input), and the binary embedding records (every float
+// bit kept; JSON embedding docs of older lakes converted at open).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -24,6 +28,7 @@
 #include "index/snapshot.h"
 #include "lakegen/lakegen.h"
 #include "nn/model.h"
+#include "storage/catalog.h"
 
 namespace mlake::core {
 namespace {
@@ -707,6 +712,144 @@ TEST_F(LakeScaleTest, MalformedColumnSidecarFallsBackToRebuild) {
               c.generation)
         << c.name;
     EXPECT_EQ(ColumnAnswers(lake.ValueUnsafe().get()), clean) << c.name;
+  }
+}
+
+/// Every model's embedding with its bits, and the ANN answers to each
+/// embedding as a query, in hex floats.
+std::string VectorAnswers(ModelLake* lake) {
+  std::string out;
+  for (const std::string& id : lake->AllModelIds()) {
+    std::vector<float> vec = lake->EmbeddingFor(id).MoveValueUnsafe();
+    out += id + ":";
+    for (float x : vec) {
+      uint32_t bits;
+      std::memcpy(&bits, &x, sizeof(bits));
+      out += StrFormat("%08x,", bits);
+    }
+    for (const auto& [hit, dist] :
+         lake->NearestModels(vec, 4).MoveValueUnsafe()) {
+      out += StrFormat(" %s@%a", hit.c_str(), dist);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// A vec record keeps every bit of a float the JSON text form has no
+// simple spelling for: a catalog rebuild answers with the same bits and
+// the same neighbours as the lake that ingested them.
+TEST_F(LakeScaleTest, VecRecordsKeepEveryFloatBitThroughARebuild) {
+  LakeOptions options = Options("bits");
+  std::string live;
+  {
+    auto lake = ModelLake::Open(options).MoveValueUnsafe();
+    const int64_t dim = lake->EmbeddingDim();
+    ASSERT_GE(dim, 3);
+    std::vector<CardIngest> batch = MakeBatch(dim, 8, 41, "f");
+    const float one_up = std::nextafter(1.0f, 2.0f);
+    batch[0].embedding[0] = -0.0f;
+    batch[0].embedding[1] = std::numeric_limits<float>::denorm_min();
+    batch[1].embedding[0] = FLT_MAX;
+    batch[1].embedding[1] = -0.0f;
+    batch[2].embedding[0] = 1.0f;
+    batch[3].embedding = batch[2].embedding;
+    batch[3].embedding[0] = one_up;
+    batch[4].embedding[2] = 3.0e-39f;  // another denormal
+    ASSERT_TRUE(lake->IngestCards(batch).ok());
+    std::vector<float> v0 = lake->EmbeddingFor("f-000").MoveValueUnsafe();
+    EXPECT_TRUE(std::signbit(v0[0]));
+    live = VectorAnswers(lake.get());
+  }
+  options.load_index_snapshots = false;  // BuildIndexSetFromCatalog runs
+  auto lake = ModelLake::Open(options).MoveValueUnsafe();
+  EXPECT_EQ(VectorAnswers(lake.get()), live);
+  std::vector<float> v3 = lake->EmbeddingFor("f-003").MoveValueUnsafe();
+  EXPECT_EQ(v3[0], std::nextafter(1.0f, 2.0f));
+  std::vector<float> v1 = lake->EmbeddingFor("f-001").MoveValueUnsafe();
+  EXPECT_EQ(v1[0], FLT_MAX);
+  EXPECT_TRUE(std::signbit(v1[1]));
+}
+
+// A vec record whose length is not 4 x dim is corrupt: the rebuild
+// refuses it instead of serving a short or padded row.
+TEST_F(LakeScaleTest, VecRecordOfWrongLengthIsCorruption) {
+  LakeOptions options = Options("short-vec");
+  {
+    auto lake = ModelLake::Open(options).MoveValueUnsafe();
+    ASSERT_TRUE(
+        lake->IngestCards(MakeBatch(lake->EmbeddingDim(), 3, 42, "s")).ok());
+  }
+  {
+    auto catalog =
+        storage::Catalog::Open(JoinPath(options.root, "catalog.log"))
+            .MoveValueUnsafe();
+    std::string bytes = catalog->GetRaw("vec", "s-001").MoveValueUnsafe();
+    bytes.pop_back();
+    storage::Catalog::Batch batch;
+    batch.PutRaw("vec", "s-001", bytes);
+    ASSERT_TRUE(catalog->Write(std::move(batch)).ok());
+  }
+  options.load_index_snapshots = false;
+  auto reopened = ModelLake::Open(options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status().ToString();
+}
+
+// A lake whose catalog still holds JSON embedding docs (the format
+// before vec records) opens and serves the same vectors; the open
+// converts every doc, including a lake a crash left half converted,
+// and a second open rewrites nothing.
+TEST_F(LakeScaleTest, JsonEmbeddingDocsConvertOnceAtOpen) {
+  std::string live;
+  {
+    auto lake = ModelLake::Open(Options("json-template")).MoveValueUnsafe();
+    ASSERT_TRUE(
+        lake->IngestCards(VariedBatch(lake->EmbeddingDim(), 24, 43, "j")).ok());
+    live = VectorAnswers(lake.get());
+  }
+  // Rewrite the template's vec records as JSON float arrays through the
+  // catalog, as an older lake stored them. `keep_vec` leaves the first
+  // ids' vec records in place too: what a torn conversion leaves.
+  auto downgrade = [&](const std::string& name, size_t keep_vec) {
+    Clone("json-template", name);
+    auto catalog =
+        storage::Catalog::Open(JoinPath(dir_, name + "/catalog.log"))
+            .MoveValueUnsafe();
+    std::vector<std::string> ids = catalog->ListIds("vec");
+    ASSERT_EQ(ids.size(), 24u);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      std::string bytes = catalog->GetRaw("vec", ids[i]).MoveValueUnsafe();
+      std::vector<float> vec(bytes.size() / sizeof(float));
+      std::memcpy(vec.data(), bytes.data(), bytes.size());
+      Json arr = Json::MakeArray();
+      for (float x : vec) arr.Append(Json(static_cast<double>(x)));
+      ASSERT_TRUE(catalog->PutDoc("embedding", ids[i], arr).ok());
+      if (i >= keep_vec) {
+        ASSERT_TRUE(catalog->DeleteDoc("vec", ids[i]).ok());
+      }
+    }
+    ASSERT_EQ(catalog->ListIds("embedding").size(), 24u);
+  };
+  for (size_t keep_vec : {size_t{0}, size_t{10}}) {
+    SCOPED_TRACE(StrFormat("%zu vec records kept", keep_vec));
+    const std::string name = StrFormat("json-%zu", keep_vec);
+    downgrade(name, keep_vec);
+    const std::string log_path = JoinPath(dir_, name + "/catalog.log");
+    for (bool first_open : {true, false}) {
+      const std::string before = ReadFile(log_path).MoveValueUnsafe();
+      {
+        auto lake = ModelLake::Open(Options(name));
+        ASSERT_TRUE(lake.ok()) << lake.status().ToString();
+        EXPECT_EQ(VectorAnswers(lake.ValueUnsafe().get()), live);
+      }
+      const std::string after = ReadFile(log_path).MoveValueUnsafe();
+      // The first open converts; the second finds nothing to rewrite.
+      EXPECT_EQ(after == before, !first_open);
+      auto catalog = storage::Catalog::Open(log_path).MoveValueUnsafe();
+      EXPECT_TRUE(catalog->ListIds("embedding").empty());
+      EXPECT_EQ(catalog->ListIds("vec").size(), 24u);
+    }
   }
 }
 
