@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -66,7 +67,8 @@ std::string EmbeddingToBytes(const std::vector<float>& v) {
 
 // The vec record for an embedding shipped as a JSON float array (an
 // older lake's "embedding" doc, a seed manifest entry). `%.17g` text
-// round-trips every float, so these are the bytes the writer stored.
+// round-trips every finite float but -0.0, which ingest stores as +0.0,
+// so these are the bytes the writer stored.
 Result<std::string> VecRecordFromJson(const std::string& id,
                                       const Json& floats, int64_t dim) {
   MLAKE_ASSIGN_OR_RETURN(std::vector<float> vec, FloatsFromJson(floats));
@@ -953,7 +955,7 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
   std::unordered_set<std::string_view> seen;  // views of the cards' ids
   seen.reserve(rows.size());
   bool has_artifacts = false;
-  for (const IngestRow& row : rows) {
+  for (IngestRow& row : rows) {
     const std::string& id = row.card->model_id;
     if (id.empty()) {
       return Status::InvalidArgument("card.model_id is required");
@@ -969,6 +971,17 @@ Result<std::vector<std::string>> ModelLake::IngestRowsLocked(
       return Status::InvalidArgument(StrFormat(
           "embedding for %s has dim %zu, lake expects %lld", id.c_str(),
           row.embedding.size(), static_cast<long long>(embedder_->Dim())));
+    }
+    // The op log and the seed manifest carry an embedding as JSON text,
+    // which spells -0.0 as "0" and has no NaN or infinity. Storing a
+    // zero as +0.0 and refusing a non-finite component keeps the vec
+    // bytes a replica re-encodes from that text equal to the leader's.
+    for (float& x : row.embedding) {
+      if (!std::isfinite(x)) {
+        return Status::InvalidArgument("embedding for " + id +
+                                       " has a non-finite component");
+      }
+      if (x == 0.0f) x = 0.0f;
     }
     ids.push_back(id);
     has_artifacts = has_artifacts || !row.digest.empty();
@@ -1522,8 +1535,8 @@ Result<Json> ModelLake::ReplicationSeedJson() const {
   }
   // Docs ship verbatim: the replica re-puts these exact bytes, so a
   // re-seeded catalog fingerprints identically to the leader's by
-  // construction. The vec record ships as an "embedding" float array
-  // (%.17g round-trips every float), re-encoded to the same bytes.
+  // construction. The vec record ships as an "embedding" float array,
+  // re-encoded to the same bytes (see VecRecordFromJson).
   Json models = Json::MakeArray();
   for (const std::string& id : catalog_->ListIds("model")) {  // sorted
     Json entry = Json::MakeObject();

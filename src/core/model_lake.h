@@ -180,7 +180,7 @@ struct IngestRequest {
 /// every index without materializing a checkpoint artifact.
 struct CardIngest {
   metadata::ModelCard card;
-  /// Must be EmbeddingDim() floats.
+  /// Must be EmbeddingDim() finite floats; a zero is stored as +0.0.
   std::vector<float> embedding;
 };
 

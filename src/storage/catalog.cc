@@ -35,7 +35,7 @@ void Catalog::Batch::DeleteDoc(const std::string& kind,
 
 Status Catalog::Write(Batch batch) {
   MLAKE_RETURN_NOT_OK(batch.status_);
-  return kv_->Write(batch.writes_);
+  return kv_->Write(std::move(batch.writes_));
 }
 
 Status Catalog::PutDoc(const std::string& kind, const std::string& id,

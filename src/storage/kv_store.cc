@@ -1,5 +1,6 @@
 #include "storage/kv_store.h"
 
+#include <algorithm>
 #include <filesystem>
 
 #include "common/file_util.h"
@@ -115,7 +116,7 @@ Status KvStore::Replay() {
   return Status::OK();
 }
 
-Status KvStore::Write(std::span<KvWrite> batch) {
+Status KvStore::Write(std::vector<KvWrite>&& batch) {
   uint64_t batch_bytes = 0;
   for (const KvWrite& w : batch) {
     if (w.key.empty()) return Status::InvalidArgument("empty key");
@@ -123,9 +124,17 @@ Status KvStore::Write(std::span<KvWrite> batch) {
   }
   std::string records;
   records.reserve(batch_bytes);
-  for (const KvWrite& w : batch) {
-    EncodeRecord(w.erase ? kTypeDelete : kTypePut, w.key,
-                 w.erase ? std::string_view() : std::string_view(w.value),
+  for (auto w = batch.begin(); w != batch.end(); ++w) {
+    // A delete of an absent key is a no-op: no tombstone, and the index
+    // loop below leaves it alone too.
+    if (w->erase && !index_.contains(w->key) &&
+        std::none_of(batch.begin(), w, [&](const KvWrite& earlier) {
+          return !earlier.erase && earlier.key == w->key;
+        })) {
+      continue;
+    }
+    EncodeRecord(w->erase ? kTypeDelete : kTypePut, w->key,
+                 w->erase ? std::string_view() : std::string_view(w->value),
                  &records);
   }
   if (records.empty()) return Status::OK();
@@ -168,8 +177,9 @@ Status KvStore::Write(std::span<KvWrite> batch) {
 }
 
 Status KvStore::Put(const std::string& key, std::string_view value) {
-  KvWrite w{key, std::string(value)};
-  return Write({&w, 1});
+  std::vector<KvWrite> batch;
+  batch.push_back({key, std::string(value)});
+  return Write(std::move(batch));
 }
 
 Result<std::string> KvStore::Get(const std::string& key) const {
@@ -185,12 +195,12 @@ bool KvStore::Contains(const std::string& key) const {
 }
 
 Status KvStore::Delete(const std::string& key) {
-  if (!index_.contains(key)) return Status::OK();
   // The tombstone lands in the log before the index forgets the key
   // (see Write): a failed append is then a clean no-op, instead of an
   // in-memory delete that a reopen silently resurrects.
-  KvWrite w{key, std::string(), /*erase=*/true};
-  return Write({&w, 1});
+  std::vector<KvWrite> batch;
+  batch.push_back({key, std::string(), /*erase=*/true});
+  return Write(std::move(batch));
 }
 
 std::vector<std::string> KvStore::ScanPrefix(const std::string& prefix) const {

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -68,8 +67,10 @@ class KvStore {
   /// Applies `batch` in order with one log append: either every record
   /// lands in the log and the index, or (on a failed or short append)
   /// the log is cut back to its pre-batch length and the index is
-  /// untouched. An empty key fails the whole batch before any write.
-  Status Write(std::span<KvWrite> batch);
+  /// untouched. A delete of a key that is neither stored nor put earlier
+  /// in the batch writes nothing. An empty key fails the whole batch
+  /// before any write.
+  Status Write(std::vector<KvWrite>&& batch);
 
   Result<std::string> Get(const std::string& key) const;
 

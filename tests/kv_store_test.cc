@@ -187,7 +187,7 @@ TEST_F(KvStoreTest, BatchWriteIsVisibleAndReplayed) {
     std::vector<KvWrite> batch = ThreeRecordBatch();
     batch.push_back({"old", "", /*erase=*/true});
     batch.push_back({"b/1", "one again"});  // later record wins
-    ASSERT_TRUE(store->Write(batch).ok());
+    ASSERT_TRUE(store->Write(std::move(batch)).ok());
     EXPECT_EQ(store->Count(), 3u);
     EXPECT_FALSE(store->Contains("old"));
     EXPECT_EQ(store->Get("b/1").ValueOrDie(), "one again");
@@ -206,10 +206,32 @@ TEST_F(KvStoreTest, BatchWithEmptyKeyWritesNothing) {
   auto store = KvStore::Open(path_).MoveValueUnsafe();
   std::vector<KvWrite> batch = ThreeRecordBatch();
   batch.push_back({"", "v"});
-  EXPECT_TRUE(store->Write(batch).IsInvalidArgument());
+  EXPECT_TRUE(store->Write(std::move(batch)).IsInvalidArgument());
   EXPECT_EQ(store->Count(), 0u);
   EXPECT_EQ(store->LogBytes(), 0u);
   EXPECT_FALSE(FileExists(path_));
+}
+
+// A delete of a key that is absent writes nothing, in a batch as in
+// Delete; a delete of a key put earlier in the same batch still lands.
+TEST_F(KvStoreTest, DeleteOfAbsentKeyWritesNothing) {
+  auto store = KvStore::Open(path_).MoveValueUnsafe();
+  ASSERT_TRUE(store->Delete("never").ok());
+  EXPECT_EQ(store->LogBytes(), 0u);
+  EXPECT_FALSE(FileExists(path_));
+  ASSERT_TRUE(store->Put("keep", "k").ok());
+  const uint64_t one_record = store->LogBytes();
+  std::vector<KvWrite> batch;
+  batch.push_back({"never", "", /*erase=*/true});
+  batch.push_back({"brief", "b"});
+  batch.push_back({"brief", "", /*erase=*/true});
+  ASSERT_TRUE(store->Write(std::move(batch)).ok());
+  EXPECT_EQ(store->LogBytes(), one_record + 13 + 5 + 1 + 13 + 5);
+  EXPECT_EQ(store->Count(), 1u);
+  EXPECT_FALSE(store->Contains("brief"));
+  auto reopened = KvStore::Open(path_).MoveValueUnsafe();
+  EXPECT_EQ(reopened->Count(), 1u);
+  EXPECT_FALSE(reopened->Contains("brief"));
 }
 
 // A failed or short batch append leaves the log length and every key
@@ -235,7 +257,7 @@ TEST_F(KvStoreTest, FailedBatchAppendLeavesStoreUnchanged) {
     const uint64_t log_bytes = store->LogBytes();
     std::vector<KvWrite> batch = ThreeRecordBatch();
     batch.push_back({"keep", "", /*erase=*/true});
-    EXPECT_FALSE(store->Write(batch).ok());
+    EXPECT_FALSE(store->Write(std::move(batch)).ok());
     EXPECT_EQ(fs.injected_errors(), 1u);
     EXPECT_EQ(store->LogBytes(), log_bytes);
     EXPECT_EQ(store->Count(), 2u);
@@ -262,7 +284,7 @@ TEST_F(KvStoreTest, TornBatchReplaysCompleteRecordsBeforeTheTear) {
     ASSERT_TRUE(store->Put("pre", "p").ok());
     pre_batch = store->LogBytes();
     std::vector<KvWrite> batch = ThreeRecordBatch();
-    ASSERT_TRUE(store->Write(batch).ok());
+    ASSERT_TRUE(store->Write(std::move(batch)).ok());
   }
   // crc + type + two length prefixes + "b/1" + "one".
   const uint64_t after_first = pre_batch + 13 + 3 + 3;

@@ -736,9 +736,11 @@ std::string VectorAnswers(ModelLake* lake) {
   return out;
 }
 
-// A vec record keeps every bit of a float the JSON text form has no
-// simple spelling for: a catalog rebuild answers with the same bits and
-// the same neighbours as the lake that ingested them.
+// A vec record keeps every bit of a finite float, denormals and 1-ulp
+// neighbours included: a catalog rebuild answers with the same bits and
+// the same neighbours as the lake that ingested them. A zero is stored
+// as +0.0 (the JSON text replication ships spells -0.0 as "0"), and a
+// non-finite component, which JSON cannot carry, is refused.
 TEST_F(LakeScaleTest, VecRecordsKeepEveryFloatBitThroughARebuild) {
   LakeOptions options = Options("bits");
   std::string live;
@@ -756,9 +758,18 @@ TEST_F(LakeScaleTest, VecRecordsKeepEveryFloatBitThroughARebuild) {
     batch[3].embedding = batch[2].embedding;
     batch[3].embedding[0] = one_up;
     batch[4].embedding[2] = 3.0e-39f;  // another denormal
+    for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                      -std::numeric_limits<float>::infinity()}) {
+      std::vector<CardIngest> refused = batch;
+      refused[5].embedding[1] = bad;
+      EXPECT_TRUE(lake->IngestCards(refused).status().IsInvalidArgument());
+      EXPECT_TRUE(lake->ListModels().empty());
+    }
     ASSERT_TRUE(lake->IngestCards(batch).ok());
     std::vector<float> v0 = lake->EmbeddingFor("f-000").MoveValueUnsafe();
-    EXPECT_TRUE(std::signbit(v0[0]));
+    EXPECT_EQ(v0[0], 0.0f);
+    EXPECT_FALSE(std::signbit(v0[0]));
+    EXPECT_EQ(v0[1], std::numeric_limits<float>::denorm_min());
     live = VectorAnswers(lake.get());
   }
   options.load_index_snapshots = false;  // BuildIndexSetFromCatalog runs
@@ -768,7 +779,8 @@ TEST_F(LakeScaleTest, VecRecordsKeepEveryFloatBitThroughARebuild) {
   EXPECT_EQ(v3[0], std::nextafter(1.0f, 2.0f));
   std::vector<float> v1 = lake->EmbeddingFor("f-001").MoveValueUnsafe();
   EXPECT_EQ(v1[0], FLT_MAX);
-  EXPECT_TRUE(std::signbit(v1[1]));
+  EXPECT_FALSE(std::signbit(v1[1]));
+  EXPECT_EQ(lake->EmbeddingFor("f-004").MoveValueUnsafe()[2], 3.0e-39f);
 }
 
 // A vec record whose length is not 4 x dim is corrupt: the rebuild

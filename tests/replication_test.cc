@@ -530,6 +530,42 @@ TEST_F(ReplicationTest, LogTruncationForcesSnapshotReseed) {
   EXPECT_TRUE(replica_lake_->HasEdge("base-sum", "ft-sum"));
 }
 
+// A card ingest's embedding reaches the replica as JSON text, in the op
+// log and in the seed manifest, and that text spells -0.0 as "0". The
+// lake stores a zero component as +0.0, so leader and replica hold the
+// same vec bytes after log apply and after a re-seed, and a later
+// fingerprint check finds nothing to repair.
+TEST_F(ReplicationTest, SignedZeroEmbeddingFingerprintsAlikeOnReplica) {
+  core::CardIngest ingest;
+  ingest.card = Card("card-zero", "sum");
+  ingest.embedding.assign(
+      static_cast<size_t>(leader_lake_->EmbeddingDim()), 0.25f);
+  ingest.embedding[0] = -0.0f;
+  ASSERT_TRUE(leader_lake_->IngestCards({ingest}).ok());
+  OpenReplica();
+  auto applied = replicator_->SyncOnce();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(replicator_->reseeds(), 0u);
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+  ASSERT_TRUE(replicator_->CheckDivergence().ok());
+  EXPECT_EQ(replicator_->reseeds(), 0u);
+
+  // Force a re-seed with an out-of-band replica write; the re-seeded
+  // replica then matches, and stays matched.
+  core::CardIngest rogue = ingest;
+  rogue.card = Card("rogue-card", "sum");
+  ASSERT_TRUE(replica_lake_->IngestCards({rogue}).ok());
+  ASSERT_TRUE(replicator_->CheckDivergence().ok());
+  EXPECT_EQ(replicator_->reseeds(), 1u);
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+  ASSERT_TRUE(replicator_->CheckDivergence().ok());
+  EXPECT_EQ(replicator_->reseeds(), 1u);
+  std::vector<float> vec = replica_lake_->EmbeddingFor("card-zero").ValueOrDie();
+  EXPECT_EQ(vec, ingest.embedding);
+}
+
 TEST_F(ReplicationTest, DivergenceIsDetectedAndRepaired) {
   OpenReplica();
   ASSERT_TRUE(replicator_->SyncOnce().ok());
